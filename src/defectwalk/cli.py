@@ -56,9 +56,12 @@ def _parse_floats(flag: str, text: str, count: int) -> list[float]:
     if len(parts) != count:
         raise _fail_usage(f"{flag}: expected {count} comma-separated numbers, got {len(parts)}")
     try:
-        return [float(p) for p in parts]
+        values = [float(p) for p in parts]
     except ValueError:
         raise _fail_usage(f"{flag}: could not parse {text!r} as numbers")
+    if not all(math.isfinite(v) for v in values):
+        raise _fail_usage(f"{flag}: numbers must be finite, got {text!r}")
+    return values
 
 
 def _parse_coin(flag: str, text: str):

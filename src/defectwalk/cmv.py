@@ -20,7 +20,20 @@ and five-block-diagonal on the line (2x2 blocks; scalar half-width 4).
 
 ``build_transition`` assembles U twice, once directly from the coin action
 and once as Lambda C Lambda^dagger with the CMV factorization, and verifies
-entry-wise agreement before returning.
+entry-wise agreement before returning.  The phases of Lambda and of the
+Verblunsky coefficients are reduced mod 2 pi from exact partial products,
+so the agreement holds to a few eps at any size.
+
+Evolution
+---------
+``evolve`` applies the band (``BandedUnitary.step``) to a whole truncated
+state; with ``to_dense`` it is the evolution oracle.  The walk functions
+(``return_probability_series``, ``moments_at_origin``, ``amplitude`` and the
+simulated moments of ``oracles``) instead step in natural site order, "coin,
+then shift", which is the two-factor block structure behind the CMV
+factorization, and touch only the sites inside the light cone of the start
+sites that can still reach an observed site.  Both perform the same
+floating-point operations on every amplitude, so they agree bit for bit.
 
 Truncation: amplitudes are exact for the infinite system as long as the
 ballistic cone (one site per step) stays inside the matrix.  The enforced
@@ -28,7 +41,9 @@ floor ``dim >= 2 (steps + |site| + 8)`` is the full-cone requirement on the
 half line; on the line it is weaker than the full cone but still guarantees
 exactness of amplitudes near the folding origin, because truncation errors
 born at the edge need as many steps again to travel back.  Default sizes
-always cover the full cone.
+always cover the full cone.  The site-ordered walk needs no truncation: a
+``dimension`` passed to it is validated against the floor, but the observed
+amplitudes do not depend on it.
 """
 
 from __future__ import annotations
@@ -164,41 +179,61 @@ class BandedUnitary:
         return out
 
 
+# 2 pi in three parts: the first two carry 30 significant bits, so q * part is
+# exact for |q| < 2**23 (Cody-Waite reduction).
+_TWO_PI = (
+    float.fromhex("0x1.921fb54p+2"),
+    float.fromhex("0x1.10b46118p-28"),
+    float.fromhex("0x1.313198a2e037p-59"),
+)
+# Veltkamp splitter: x_hi keeps 26 significant bits, so m * x_hi is exact for
+# integers |m| < 2**27.
+_SPLIT = 2.0**27 + 1.0
+
+
+def _unimodular(*terms) -> np.ndarray:
+    """``exp(i * sum(m * x))`` for pairs (m, x) of integers (or integer
+    arrays) and phases.
+
+    The exact part ``m * x_hi`` of each product is reduced mod 2 pi before
+    the sum.  Rounding ``m * x`` directly costs about ``|m| eps |x|`` of
+    phase, which past a few thousand sites breaks the 1e-12 agreement of
+    the build cross-check.
+    """
+    angle = 0.0
+    for m, x in terms:
+        m = np.asarray(m, dtype=float)
+        big = _SPLIT * x
+        x_hi = big - (big - x)
+        hi = m * x_hi
+        q = np.rint(hi / _TWO_PI[0])
+        angle = angle + (hi - q * _TWO_PI[0] - q * _TWO_PI[1] - q * _TWO_PI[2]) + m * (x - x_hi)
+    return np.exp(1j * angle)
+
+
 def _lambda_halfline(spec: WalkSpec, size: int) -> np.ndarray:
-    # lambda_{-1} = lambda_0 = 1, then the coin-phase recursion site by site.
+    # lambda_0 = 1, lambda_{2k+1} = e^{i (tau2 + k sigma2)}, lambda_{2k+2} = e^{-i (tau1 + k sigma1)}
+    c, d = spec.coin, spec.defect
     lam = np.ones(size, dtype=complex)
-    lam_odd_prev = 1.0 + 0.0j  # lambda_{2k-1}, starting at lambda_{-1}
-    lam_even_prev = 1.0 + 0.0j  # lambda_{2k}, starting at lambda_0
-    for k in range((size + 1) // 2 + 1):
-        coin = spec.defect if k == 0 else spec.coin
-        lam_odd = np.exp(1j * coin.sigma2) * lam_odd_prev
-        lam_even = np.exp(-1j * coin.sigma1) * lam_even_prev
-        if 2 * k + 1 < size:
-            lam[2 * k + 1] = lam_odd
-        if 2 * k + 2 < size:
-            lam[2 * k + 2] = lam_even
-        lam_odd_prev, lam_even_prev = lam_odd, lam_even
+    k = np.arange(len(lam[1::2]))
+    lam[1::2] = _unimodular((1, d.sigma2), (k, c.sigma2))
+    k = np.arange(len(lam[2::2]))
+    lam[2::2] = _unimodular((-1, d.sigma1), (-k, c.sigma1))
     return lam
 
 
 def _lambda_line(spec: WalkSpec, size: int) -> np.ndarray:
+    # blocks 2k-1 and 2k (k >= 1) of two entries each follow lambda_0 = lambda_1 = 1
     c, d = spec.coin, spec.defect
-    s1, s2 = c.sigma1, c.sigma2
-    t1, t2 = d.sigma1, d.sigma2
     lam = np.ones(size, dtype=complex)
-    for block in range(1, (size + 1) // 2 + 1):
-        if block % 2 == 1:  # block 2k-1
-            k = (block + 1) // 2
-            first = np.exp(1j * k * s1)
-            second = np.exp(1j * (t2 + (k - 1) * s2))
-        else:  # block 2k
-            k = block // 2
-            first = np.exp(-1j * (t1 + (k - 1) * s1))
-            second = np.exp(-1j * k * s2)
-        if 2 * block < size:
-            lam[2 * block] = first
-        if 2 * block + 1 < size:
-            lam[2 * block + 1] = second
+    k = np.arange(1, len(lam[2::4]) + 1)
+    lam[2::4] = _unimodular((k, c.sigma1))
+    k = np.arange(1, len(lam[3::4]) + 1)
+    lam[3::4] = _unimodular((1, d.sigma2), (k - 1, c.sigma2))
+    k = np.arange(1, len(lam[4::4]) + 1)
+    lam[4::4] = _unimodular((-1, d.sigma1), (1 - k, c.sigma1))
+    k = np.arange(1, len(lam[5::4]) + 1)
+    lam[5::4] = _unimodular((-k, c.sigma2))
     return lam
 
 
@@ -216,29 +251,26 @@ def build_lambda(spec: WalkSpec, size: int) -> np.ndarray:
 
 
 def verblunsky_halfline(spec: WalkSpec, count: int) -> np.ndarray:
-    """First ``count`` Verblunsky coefficients (odd entries vanish)."""
-    c, d = spec.coin, spec.defect
-    sigma, tau = c.sigma, d.sigma
+    """First ``count`` Verblunsky coefficients (odd entries vanish).
+
+    The even ones are those of the line for k >= 0.
+    """
     alphas = np.zeros(count, dtype=complex)
-    for k in range((count + 1) // 2):
-        if 2 * k >= count:
-            break
-        if k == 0:
-            alphas[0] = d.c21.conjugate()
-        else:
-            alphas[2 * k] = c.c21.conjugate() * np.exp(-1j * (tau + (k - 1) * sigma))
+    alphas[::2] = verblunsky_line(spec, np.arange(len(alphas[::2])))
     return alphas
 
 
-def verblunsky_line(spec: WalkSpec, k: int) -> complex:
-    """Scalar coefficient alpha_{2k} of the folded walk, k in Z."""
+def verblunsky_line(spec: WalkSpec, k):
+    """Coefficient alpha_{2k} of the folded walk, for an integer or an integer
+    array k in Z."""
     c, d = spec.coin, spec.defect
-    sigma, tau = c.sigma, d.sigma
-    if k == 0:
-        return d.c21.conjugate()
-    if k > 0:
-        return c.c21.conjugate() * np.exp(-1j * (tau + (k - 1) * sigma))
-    return c.c21.conjugate() * np.exp(-1j * k * sigma)
+    k = np.asarray(k)
+    ahead = (k > 0).astype(int)  # alpha_{2k} = conj(c21) e^{-i (tau + (k-1) sigma)} for k > 0
+    m = ahead - k  # and conj(c21) e^{-i k sigma} for k < 0
+    tail = c.c21.conjugate() * _unimodular(
+        (-ahead, d.sigma1), (-ahead, d.sigma2), (m, c.sigma1), (m, c.sigma2)
+    )
+    return np.where(k == 0, d.c21.conjugate(), tail)[()]
 
 
 def _coin_band_halfline(spec: WalkSpec, size: int) -> _BandBuilder:
@@ -295,11 +327,9 @@ def _cmv_band_halfline(spec: WalkSpec, size: int) -> _BandBuilder:
 
 def _cmv_band_line(spec: WalkSpec, size: int) -> _BandBuilder:
     bb = _BandBuilder(size, 4)
-    for m in range((size + 3) // 4 + 1):
-        if 4 * m >= size:
-            break
-        a_plus = verblunsky_line(spec, m)  # alpha_{2m}
-        a_minus = verblunsky_line(spec, -m - 1)  # alpha_{-2m-2}
+    m_all = np.arange((size + 3) // 4)
+    alphas = zip(verblunsky_line(spec, m_all), verblunsky_line(spec, -m_all - 1))
+    for m, (a_plus, a_minus) in enumerate(alphas):  # alpha_{2m}, alpha_{-2m-2}
         r_plus, r_minus = _rho(a_plus), _rho(a_minus)
         if m == 0:
             bb.set(0, 1, a_plus.conjugate())
@@ -403,18 +433,99 @@ def evolve(u: BandedUnitary, psi0: np.ndarray, steps: int) -> np.ndarray:
     return psi
 
 
+def _walk(
+    spec: WalkSpec,
+    starts: list[dict[tuple[int, bool], complex]],
+    observe: list[tuple[int, bool]],
+    steps: int,
+) -> np.ndarray:
+    """Amplitudes at the ``observe`` (site, is_up) pairs after 0..steps steps,
+    as a ``(steps + 1, len(starts), len(observe))`` array; ``starts`` holds one
+    initial state per batch member, mapping (site, is_up) to an amplitude.
+
+    One step, in natural site order with the defect coin at site 0::
+
+        up[x+1] = c11 up[x] + c12 dn[x]        dn[x-1] = c21 up[x] + c22 dn[x]
+
+    with, on the half line, the down output of site 0 reflected into (0, up).
+    Step n covers only the sites in the forward light cone of the starts that
+    can still reach an observed site.  Every product is an array times a
+    scalar and every sum adds two products, as in ``BandedUnitary.step``, so
+    the results equal the band's bit for bit.
+    """
+    half = spec.lattice is Lattice.HALF_LINE
+    starts_at = [site for state in starts for site, _ in state]
+    seen_at = [site for site, _ in observe]
+    if half and min(starts_at + seen_at) < 0:
+        raise ValueError("half-line sites are nonnegative")
+    first, last = min(starts_at), max(starts_at)
+    seen_lo, seen_hi = min(seen_at), max(seen_at)
+    # buffer row r holds site r + base, with a spare row past each cone edge;
+    # on the half line row 0 (site -1) receives the output to be reflected
+    base = -1 if half else min(first - steps, seen_lo) - 1
+    rows = max(last + steps, seen_hi) + 2 - base
+    floor = 0 if half else -math.inf
+    batch = len(starts)
+    up, dn, up_next, dn_next, part = (
+        np.zeros((rows, batch), dtype=complex) for _ in range(5)
+    )
+    for b, state in enumerate(starts):
+        for (site, is_up), amp in state.items():
+            (up if is_up else dn)[site - base, b] = amp
+    taps = [(site - base, is_up) for site, is_up in observe]
+    out = np.empty((steps + 1, batch, len(observe)), dtype=complex)
+    for k, (row, is_up) in enumerate(taps):
+        out[0, :, k] = (up if is_up else dn)[row]
+    coin, defect = spec.coin.matrix.ravel(), spec.defect.matrix.ravel()
+    z = -base  # row of site 0
+    for n in range(steps):
+        lo = max(first - n, seen_lo - (steps - n), floor) - base
+        hi = min(last + n, seen_hi + (steps - n)) + 1 - base
+        # the constant coin on the window, then the defect coin over site 0 on
+        # 1-element slices, so that it rounds exactly like the bulk
+        runs = [(lo, hi, coin)] + ([(z, z + 1, defect)] if lo <= z < hi else [])
+        for a, b, (c11, c12, c21, c22) in runs:
+            for dst, x, y in ((up_next[a + 1 : b + 1], c11, c12), (dn_next[a - 1 : b - 1], c21, c22)):
+                np.multiply(up[a:b], x, out=dst)
+                np.multiply(dn[a:b], y, out=part[a:b])
+                dst += part[a:b]
+        if half and lo == z:
+            up_next[z] = dn_next[z - 1]
+        up, up_next, dn, dn_next = up_next, up, dn_next, dn
+        for k, (row, is_up) in enumerate(taps):
+            out[n + 1, :, k] = (up if is_up else dn)[row]
+    return out
+
+
+def _require_dimension(lattice: Lattice, steps: int, site: int, dimension: int | None):
+    """Raise TruncationTooSmall if ``dimension`` is below ``min_dimension``.
+
+    The kernel needs no truncation, but a requested one is still validated.
+    """
+    dim = dimension or default_dimension(lattice, steps, site)
+    need = min_dimension(steps, site)
+    if dim < need:
+        raise TruncationTooSmall(f"dimension {dim} < required {need}")
+
+
+def _qubit_amplitudes(
+    spec: WalkSpec, site: int, q: Qubit, steps: int, dimension: int | None = None
+) -> np.ndarray:
+    """Amplitudes ``(up, dn)`` at ``site`` after 0..steps steps from the qubit
+    ``q`` placed there, as a ``(steps + 1, 2)`` array."""
+    _require_dimension(spec.lattice, steps, site, dimension)
+    start = {(site, True): q.alpha, (site, False): q.beta}
+    return _walk(spec, [start], list(start), steps)[:, 0]
+
+
 def amplitude(
     spec: WalkSpec, i: int, j: int, steps: int, dimension: int | None = None
 ) -> complex:
     """Transition amplitude ``(U^steps)[i, j]`` for basis indices i, j."""
-    reach = max(
-        abs(site_of_index(spec.lattice, i)[0]), abs(site_of_index(spec.lattice, j)[0])
-    )
-    dim = dimension or default_dimension(spec.lattice, steps, reach)
-    u = build_transition(spec, dim, check=False)
-    psi = np.zeros(dim, dtype=complex)
-    psi[i] = 1.0
-    return complex(evolve(u, psi, steps)[j])
+    start = site_of_index(spec.lattice, i)
+    end = site_of_index(spec.lattice, j)
+    _require_dimension(spec.lattice, steps, abs(start[0]), dimension)
+    return complex(_walk(spec, [{start: 1.0}], [end], steps)[-1, 0, 0])
 
 
 def return_probability(
@@ -436,51 +547,20 @@ def return_probability_series(
     dimension: int | None = None,
 ) -> np.ndarray:
     """Array of return probabilities p(0), p(1), ..., p(steps) at ``site``."""
-    dim = dimension or default_dimension(spec.lattice, steps, site)
-    need = min_dimension(steps, site)
-    if dim < need:
-        raise TruncationTooSmall(f"dimension {dim} < required {need}")
-    u = build_transition(spec, dim, check=False)
-    i_up = index_of(spec.lattice, site, True)
-    i_dn = index_of(spec.lattice, site, False)
-    psi = qubit_state(spec.lattice, site, q, dim)
-    out = np.empty(steps + 1)
-    out[0] = abs(psi[i_up]) ** 2 + abs(psi[i_dn]) ** 2
-    for n in range(1, steps + 1):
-        psi = u.step(psi)
-        out[n] = abs(psi[i_up]) ** 2 + abs(psi[i_dn]) ** 2
-    return out
+    amps = _qubit_amplitudes(spec, site, q, steps, dimension)
+    # |psi|**2 as hypot then pow, like scalar abs and **; numpy's vector abs
+    # and square round differently in the last bit
+    sq = np.float_power(np.hypot(amps.real, amps.imag), 2.0)
+    return sq[:, 0] + sq[:, 1]
 
 
 def moments_at_origin(
     spec: WalkSpec, steps: int, dimension: int | None = None
 ) -> np.ndarray:
     """The (0,0) entry (half line) or 2x2 block (line) of U^n, n = 0..steps."""
-    dim = dimension or default_dimension(spec.lattice, steps, 0)
-    need = min_dimension(steps, 0)
-    if dim < need:
-        raise TruncationTooSmall(f"dimension {dim} < required {need}")
-    u = build_transition(spec, dim, check=False)
+    _require_dimension(spec.lattice, steps, 0, dimension)
     if spec.lattice is Lattice.HALF_LINE:
-        psi = np.zeros(dim, dtype=complex)
-        psi[0] = 1.0
-        out = np.empty(steps + 1, dtype=complex)
-        out[0] = psi[0]
-        for n in range(1, steps + 1):
-            psi = u.step(psi)
-            out[n] = psi[0]
-        return out
-    psi0 = np.zeros(dim, dtype=complex)
-    psi0[0] = 1.0
-    psi1 = np.zeros(dim, dtype=complex)
-    psi1[1] = 1.0
-    out = np.empty((steps + 1, 2, 2), dtype=complex)
-    out[0] = np.eye(2)
-    for n in range(1, steps + 1):
-        psi0 = u.step(psi0)
-        psi1 = u.step(psi1)
-        out[n, 0, 0] = psi0[0]
-        out[n, 0, 1] = psi0[1]
-        out[n, 1, 0] = psi1[0]
-        out[n, 1, 1] = psi1[1]
-    return out
+        return _walk(spec, [{(0, True): 1.0}], [(0, True)], steps)[:, 0, 0]
+    # basis states 0 and 1 of the folded line: |0 up> and |-1 dn>
+    block = [(0, True), (-1, False)]
+    return _walk(spec, [{at: 1.0} for at in block], block, steps)

@@ -121,13 +121,16 @@ def validate_coin(m, tol: float = UNITARY_TOL) -> Coin:
     Raises
     ------
     NotUnitary
-        If the matrix deviates from unitarity by more than ``tol``.
+        If an entry is not finite or the matrix deviates from unitarity by
+        more than ``tol``.
     ReducibleCoin
         If a diagonal entry vanishes (the walk would decouple).
     """
     arr = np.asarray(m, dtype=complex)
     if arr.shape != (2, 2):
         raise NotUnitary(f"expected a 2x2 matrix, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise NotUnitary("coin entries must be finite")
     defect = np.abs(arr @ arr.conj().T - np.eye(2)).max()
     if defect > tol:
         raise NotUnitary(f"unitarity defect {defect:.3e} exceeds {tol:.1e}")
@@ -203,7 +206,7 @@ class Qubit:
 
     def __post_init__(self):
         norm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(norm - 1.0) > UNITARY_TOL:
+        if not abs(norm - 1.0) <= UNITARY_TOL:  # fails closed on nan
             raise ValueError(f"qubit norm {norm!r} differs from 1 beyond 1e-12")
 
     @classmethod
@@ -241,10 +244,13 @@ class DefectParams:
     vartheta: float
 
     def __post_init__(self):
-        if abs(self.a) >= 1.0 or abs(self.b) >= 1.0:
+        # each comparison fails closed on nan
+        if not (abs(self.a) < 1.0 and abs(self.b) < 1.0):
             raise ValueError("a and b must lie in the open unit disk")
-        if abs(abs(self.omega) - 1.0) > UNITARY_TOL:
+        if not abs(abs(self.omega) - 1.0) <= UNITARY_TOL:
             raise ValueError("omega must be unimodular")
+        if not math.isfinite(self.vartheta):
+            raise ValueError("vartheta must be finite")
 
 
 def defect_params(spec: WalkSpec) -> DefectParams:

@@ -21,15 +21,9 @@ import numpy as np
 
 from . import halfline as _hl
 from . import line as _line
-from .cmv import (
-    build_transition,
-    default_dimension,
-    index_of,
-    min_dimension,
-    qubit_state,
-)
+from .cmv import _qubit_amplitudes, build_transition, default_dimension, index_of, qubit_state
 from .coins import Lattice, Qubit, WalkSpec, defect_params, hat_qubit
-from .errors import QuadratureNotConverged, TooLarge, TruncationTooSmall
+from .errors import QuadratureNotConverged, TooLarge
 from .schur import arc_nodes, support_arcs, weight_halfline, weight_line
 
 __all__ = [
@@ -65,18 +59,7 @@ def simulated_moments(
     dimension: int | None = None,
 ) -> np.ndarray:
     """Diagonal moment sequence mu_n = <psi| U^n |psi> for a qubit at ``site``."""
-    dim = dimension or default_dimension(spec.lattice, n_max, site)
-    if dim < min_dimension(n_max, site):
-        raise TruncationTooSmall(f"dimension {dim} too small for {n_max} steps")
-    u = build_transition(spec, dim, check=False)
-    psi0 = qubit_state(spec.lattice, site, q, dim)
-    psi = psi0.copy()
-    out = np.empty(n_max + 1, dtype=complex)
-    out[0] = np.vdot(psi0, psi)
-    for n in range(1, n_max + 1):
-        psi = u.step(psi)
-        out[n] = np.vdot(psi0, psi)
-    return out
+    return _qubit_amplitudes(spec, site, q, n_max, dimension) @ q.as_array().conj()
 
 
 def wiener_prediction(spec: WalkSpec, q: Qubit) -> float:

@@ -32,7 +32,6 @@ __all__ = [
     "schur_constant_boundary",
     "schur_defect",
     "schur_defect_boundary",
-    "arc_map",
     "arc_map_boundary",
     "g_line",
     "g_line_boundary",
@@ -129,18 +128,12 @@ def schur_defect_boundary(a: complex, b: complex, theta) -> complex | np.ndarray
     return val if val.ndim else complex(val)
 
 
-def arc_map(a: complex, z) -> complex | np.ndarray:
-    """The change of variables zeta(z) = -z^2 f_a(z).
+def arc_map_boundary(a: complex, theta) -> complex | np.ndarray:
+    """The change of variables zeta = -z^2 f_a(z) at z = e^{i theta}.
 
     Maps each half of the singular arcs one-to-one onto the arc Sigma_a of
     the circle where Re(conj(a) zeta) < |a|^2.
     """
-    z = np.asarray(z, dtype=complex)
-    val = -z * z * schur_constant(a, z)
-    return val if val.ndim else complex(val)
-
-
-def arc_map_boundary(a: complex, theta) -> complex | np.ndarray:
     theta = np.asarray(theta, dtype=float)
     val = -np.exp(2j * theta) * schur_constant_boundary(a, theta)
     return val if val.ndim else complex(val)

@@ -1,0 +1,24 @@
+"""The benchmark's traced run wraps named defectwalk functions; a refactor
+that renames or moves one of them breaks that run."""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def test_every_trace_target_resolves(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look it up
+    spec.loader.exec_module(tracing)
+    for owner_name, attr in tracing.TARGETS:
+        module, _, cls = owner_name.partition(".")
+        owner = importlib.import_module(f"defectwalk.{module}")
+        if cls:
+            owner = getattr(owner, cls)
+        # the tracer looks targets up with vars(), so inherited or
+        # re-exported names do not count
+        assert callable(vars(owner).get(attr)), f"{owner_name}.{attr}"

@@ -273,6 +273,23 @@ class TestErrorPaths:
             )
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--lattice", "line", "--coin", H_FLAG, "--defect", H_FLAG,
+             "--steps", "4", "--qubit", "nan,0,0,0"],
+            ["simulate", "--lattice", "halfline", "--coin", H_FLAG, "--defect", H_FLAG,
+             "--steps", "4", "--qubit", "1,0,inf,0"],
+            ["simulate", "--lattice", "line", "--coin", "nan,0,0,0,0,0,1,0", "--defect", H_FLAG,
+             "--steps", "4", "--qubit", "1,0,0,0"],
+            ["classify", "--lattice", "line", "--a", "nan,0", "--b", "0,0"],
+        ],
+    )
+    def test_non_finite_is_usage_error(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(tmp_path, *argv)
+        assert exc.value.code == 2
+
     def test_numerical_guard_exit_code(self, tmp_path):
         # a on the epitrochoid: classification is reported as borderline
         from defectwalk.halfline import epitrochoid

@@ -11,6 +11,7 @@ from defectwalk.cmv import (
     evolve,
     index_of,
     min_dimension,
+    moments_at_origin,
     qubit_state,
     return_probability,
     return_probability_series,
@@ -25,6 +26,7 @@ from defectwalk.coins import (
     konno_defect,
 )
 from defectwalk.errors import SizeTooSmall, TruncationTooSmall
+from defectwalk.oracles import simulated_moments
 
 
 def test_index_roundtrip():
@@ -221,3 +223,71 @@ class TestAmplitude:
         assert min_dimension(100, 0) == 216
         assert default_dimension(Lattice.HALF_LINE, 100, 0) == 216
         assert default_dimension(Lattice.LINE, 100, 0) == 436
+
+
+def band_states(spec, psi0, steps, dim):
+    """psi0, psi0 U, ..., psi0 U^steps by the banded step: the reference
+    arithmetic for the site-ordered kernel."""
+    u = build_transition(spec, dim, check=False)
+    states = [psi0]
+    for _ in range(steps):
+        states.append(u.step(states[-1]))
+    return states
+
+
+class TestKernelMatchesBand:
+    """The kernel steps in site order inside the light cone; the band steps
+    the whole truncation in CMV order.  Results must agree bit for bit."""
+
+    STEPS = 300
+
+    def cases(self, rng):
+        for lattice in Lattice:
+            spec = random_spec(rng, lattice)
+            for site in (0, 3):
+                dims = (default_dimension(lattice, self.STEPS, site), min_dimension(self.STEPS, site))
+                for dim in dims:
+                    yield spec, site, dim
+
+    def test_return_probability_series(self, rng):
+        for spec, site, dim in self.cases(rng):
+            q = random_qubit(rng)
+            i_up, i_dn = index_of(spec.lattice, site, True), index_of(spec.lattice, site, False)
+            states = band_states(spec, qubit_state(spec.lattice, site, q, dim), self.STEPS, dim)
+            band = np.array([abs(psi[i_up]) ** 2 + abs(psi[i_dn]) ** 2 for psi in states])
+            assert np.array_equal(return_probability_series(spec, site, q, self.STEPS, dim), band)
+
+    def test_simulated_moments(self, rng):
+        for spec, site, dim in self.cases(rng):
+            q = random_qubit(rng)
+            psi0 = qubit_state(spec.lattice, site, q, dim)
+            band = np.array([np.vdot(psi0, psi) for psi in band_states(spec, psi0, self.STEPS, dim)])
+            got = simulated_moments(spec, site, q, self.STEPS, dim)
+            assert np.abs(got - band).max() <= 1e-15
+
+    def test_moments_at_origin(self, rng):
+        for spec, site, dim in self.cases(rng):
+            if site:
+                continue
+            if spec.lattice is Lattice.HALF_LINE:
+                band = [psi[0] for psi in band_states(spec, basis_state(spec.lattice, 0, True, dim), self.STEPS, dim)]
+            else:
+                starts = (basis_state(spec.lattice, 0, True, dim), basis_state(spec.lattice, -1, False, dim))
+                rows = [band_states(spec, psi0, self.STEPS, dim) for psi0 in starts]
+                band = [[[r[n][0], r[n][1]] for r in rows] for n in range(self.STEPS + 1)]
+            assert np.array_equal(moments_at_origin(spec, self.STEPS, dim), np.array(band))
+
+    def test_amplitude(self, rng):
+        for spec, site, dim in self.cases(rng):
+            i = index_of(spec.lattice, site, False)
+            states = band_states(spec, basis_state(spec.lattice, site, False, dim), self.STEPS, dim)
+            for j in (i, index_of(spec.lattice, site + 1, True), index_of(spec.lattice, 0, True)):
+                assert amplitude(spec, i, j, self.STEPS, dim) == states[-1][j]
+
+
+def test_build_check_holds_at_large_dimension():
+    # rounding k * sigma with k in the thousands costs ~k eps |sigma| of
+    # phase, past the cross-check's 1e-12 on most seeded coins at this size
+    rng = np.random.default_rng(1)
+    for _ in range(4):
+        build_transition(random_spec(rng, Lattice.LINE), 20036, check=True)

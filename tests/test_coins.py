@@ -6,6 +6,7 @@ import pytest
 from helpers import random_disk, random_qubit
 
 from defectwalk.coins import (
+    DefectParams,
     Lattice,
     Qubit,
     WalkSpec,
@@ -53,8 +54,27 @@ class TestValidateCoin:
         with pytest.raises(ValueError):
             c.matrix[0, 0] = 0.0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(NotUnitary):
+            validate_coin([[bad, 0], [0, 1]])
+
 
 class TestDefectParams:
+    @pytest.mark.parametrize(
+        "a, b, omega, vartheta",
+        [
+            (complex(math.nan, 0), 0j, 1 + 0j, 0.0),
+            (0.5 + 0j, complex(0, math.nan), 1 + 0j, 0.0),
+            (0.5 + 0j, 0j, complex(math.nan, 0), 0.0),
+            (0.5 + 0j, 0j, 1 + 0j, math.nan),
+            (0.5 + 0j, 0j, 1 + 0j, math.inf),
+        ],
+    )
+    def test_non_finite_rejected(self, a, b, omega, vartheta):
+        with pytest.raises(ValueError):
+            DefectParams(a, b, omega, vartheta)
+
     def test_hadamard_line(self):
         p = defect_params(WalkSpec(Lattice.LINE, hadamard(), hadamard()))
         assert p.a == pytest.approx(1j / S2)
@@ -116,6 +136,13 @@ class TestDefectParams:
 
 
 class TestQubit:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError):
+            Qubit(bad, 0.0)
+        with pytest.raises(ValueError):
+            Qubit.normalized(1.0, complex(0.0, bad))
+
     def test_norm_enforced(self):
         with pytest.raises(ValueError):
             Qubit(1.0, 1.0)
