@@ -4,8 +4,7 @@ This is the only module that performs I/O.  Grids are emitted as CSV
 (stream-friendly), single classifications as JSON with a schema_version
 field.  Complex numbers appear as re,im pairs in flags and as paired
 _re/_im columns in CSV.  All outputs are deterministic for identical
-inputs: grid rows are ordered by (row, col) no matter how the parallel
-scan finishes.
+inputs: grid rows are ordered by (row, col).
 
 Exit codes: 0 success, 1 numerical guard tripped, 2 flag validation error.
 """
@@ -15,9 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -86,19 +83,6 @@ def _parse_qubit(flag: str, text: str) -> Qubit:
         return Qubit.normalized(complex(v[0], v[1]), complex(v[2], v[3]))
     except ZeroDivisionError:
         raise _fail_usage(f"{flag}: zero qubit")
-
-
-def _threads() -> int:
-    env = os.environ.get("QWALK_THREADS", "").strip()
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise _fail_usage("QWALK_THREADS: not an integer")
-        if n < 1:
-            raise _fail_usage("QWALK_THREADS: must be >= 1")
-        return n
-    return os.cpu_count() or 1
 
 
 def _emit(args, text: str):
@@ -205,6 +189,25 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+def _line_rows(points) -> list[dict]:
+    return [
+        {"z_re": p.z0.real, "z_im": p.z0.imag, "m": p.m, "eta_re": p.eta.real, "eta_im": p.eta.imag}
+        for p in points
+    ]
+
+
+def _halfline_rows(points) -> list[dict]:
+    return [
+        {
+            "z_re": p.z0.real,
+            "z_im": p.z0.imag,
+            "side": "GammaPlus" if p.side > 0 else "GammaMinus",
+            "mu": p.mu,
+        }
+        for p in points
+    ]
+
+
 def _classify_line_doc(a, b, omega, qubit, hatted):
     cls = ln.classify(a, b, omega)
     state_independent = abs(a.real) < 1e-12
@@ -224,16 +227,7 @@ def _classify_line_doc(a, b, omega, qubit, hatted):
         "schema_version": SCHEMA_VERSION,
         "lattice": "line",
         "label": cls.label,
-        "mass_points": [
-            {
-                "z_re": pt.z0.real,
-                "z_im": pt.z0.imag,
-                "m": pt.m,
-                "eta_re": pt.eta.real,
-                "eta_im": pt.eta.imag,
-            }
-            for pt in cls.points
-        ],
+        "mass_points": _line_rows(cls.points),
         "p_limit": p_limit,
         "nonlocalized_qubit": nlq,
     }
@@ -252,15 +246,7 @@ def _classify_halfline_doc(a, b, qubit, hatted):
         "lattice": "halfline",
         "l_label": region.l_label,
         "tangent_profile": region.tangent_profile,
-        "mass_points": [
-            {
-                "z_re": pt.z0.real,
-                "z_im": pt.z0.imag,
-                "side": "GammaPlus" if pt.side > 0 else "GammaMinus",
-                "mu": pt.mu,
-            }
-            for pt in points
-        ],
+        "mass_points": _halfline_rows(points),
         "p_cesaro": p_cesaro,
         "nonlocalized_qubit": nlq,
     }
@@ -274,20 +260,9 @@ def _cmd_masses(args) -> int:
         return 0
     a, b, omega = params
     if lattice is Lattice.LINE:
-        pts = [
-            {"z_re": p.z0.real, "z_im": p.z0.imag, "m": p.m, "eta_re": p.eta.real, "eta_im": p.eta.imag}
-            for p in ln.classify(a, b, omega).points
-        ]
+        pts = _line_rows(ln.classify(a, b, omega).points)
     else:
-        pts = [
-            {
-                "z_re": p.z0.real,
-                "z_im": p.z0.imag,
-                "side": "GammaPlus" if p.side > 0 else "GammaMinus",
-                "mu": p.mu,
-            }
-            for p in hl.mass_points(a, b)
-        ]
+        pts = _halfline_rows(hl.mass_points(a, b))
     doc = {"schema_version": SCHEMA_VERSION, "lattice": lattice.value, "mass_points": pts}
     _emit(args, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0
@@ -351,25 +326,20 @@ def _cmd_region(args) -> int:
     if has_a and fixed == 0:
         raise _fail_usage("--a: must be nonzero")
     coords = _grid_coords(args.grid)
-
-    def count_at(point: complex) -> int:
-        if abs(point) >= 1.0:
-            return -1
-        if lattice is Lattice.LINE:
-            a, b = (fixed, point) if has_a else (point, fixed)
-            return ln.classify(a, b).n_mass_points
-        a, b = (fixed, point) if has_a else (point, fixed)
-        if a == 0:
-            return 0
-        return hl.mass_point_count(a, b)
-
-    rows = [(re, im) for im in coords for re in coords]
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        counts = list(pool.map(lambda p: count_at(complex(p[0], p[1])), rows))
+    points = np.array([complex(re, im) for im in coords for re in coords])
+    inside = np.abs(points) < 1.0
+    counts = np.full(points.shape, -1)
+    if lattice is Lattice.LINE:
+        for k in np.flatnonzero(inside):
+            a, b = (fixed, complex(points[k])) if has_a else (complex(points[k]), fixed)
+            counts[k] = ln.classify(a, b).n_mass_points
+    else:
+        a, b = (fixed, points[inside]) if has_a else (points[inside], fixed)
+        counts[inside] = hl.mass_point_count(a, b)
     header = ("b_re,b_im,n_mass_points" if has_a else "a_re,a_im,n_mass_points")
     lines = [header]
-    for (re, im), c in zip(rows, counts):
-        lines.append(f"{_fmt(re)},{_fmt(im)},{c}")
+    for point, c in zip(points, counts):
+        lines.append(f"{_fmt(point.real)},{_fmt(point.imag)},{c}")
     _emit(args, "\n".join(lines) + "\n")
     return 0
 

@@ -38,10 +38,12 @@ floating-point operations on every amplitude, so they agree bit for bit.
 Truncation: amplitudes are exact for the infinite system as long as the
 ballistic cone (one site per step) stays inside the matrix.  The enforced
 floor ``dim >= 2 (steps + |site| + 8)`` is the full-cone requirement on the
-half line; on the line it is weaker than the full cone but still guarantees
-exactness of amplitudes near the folding origin, because truncation errors
-born at the edge need as many steps again to travel back.  Default sizes
-always cover the full cone.  The site-ordered walk needs no truncation: a
+half line; on the line it is weaker than the full cone and keeps exact only
+the amplitudes near the folding origin, because truncation errors born at the
+edge need as many steps again to travel back.  Near a start far from the
+origin it does not (from site 40, 200 steps at the floor move the return
+probability by up to 1e-9): such a start needs ``default_dimension``, whose
+sizes always cover the full cone.  The site-ordered walk needs no truncation: a
 ``dimension`` passed to it is validated against the floor, but the observed
 amplitudes do not depend on it.
 """
@@ -102,7 +104,8 @@ def site_of_index(lattice: Lattice, i: int) -> tuple[int, bool]:
 
 
 def min_dimension(steps: int, start_site: int = 0) -> int:
-    """Smallest admissible truncation for ``steps`` steps from ``start_site``."""
+    """Smallest admissible truncation for ``steps`` steps from ``start_site``;
+    on the line ``evolve`` from a start far from the origin needs more."""
     return 2 * (steps + abs(start_site) + 8)
 
 

@@ -64,8 +64,9 @@ class CuspParameter(DefectWalkError):
 
 
 class BorderlineA(DefectWalkError):
-    """The parameter a sits on the classifying epitrochoid within tolerance,
-    so the region class is not decided numerically."""
+    """A decision sits on its boundary within tolerance and is not made
+    numerically: a on the classifying epitrochoid (region class), or two
+    roots of the half-line atom equation nearly coinciding (atom count)."""
 
 
 class QuadratureNotConverged(DefectWalkError):

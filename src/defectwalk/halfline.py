@@ -8,10 +8,12 @@ condition becomes
     (zeta - b)^2 / (zeta - a)  real positive  ->  atom at -z(zeta),
 
 with z(zeta) = (1 - conj(a) zeta)/|1 - conj(a) zeta| and zeta restricted to
-the open arc Sigma_a.  Roots are located by bracketing sign changes of the
-imaginary part of that quotient on a uniform parameter grid and bisecting;
-the sign of the real part selects the family.  For fixed a the two families
-of straight lines swept by the condition have envelopes outside the unit
+the open arc Sigma_a.  On |zeta| = 1 the quotient is real exactly where
+zeta p(zeta) = p*(zeta), with p(zeta) = (zeta - b)^2 (1 - conj(a) zeta) and
+p* its reciprocal conjugate: the atoms are the unimodular roots of that
+quartic on the open arc, taken as companion-matrix eigenvalues and polished
+by Newton steps; the sign of the real part selects the family.  For fixed a
+the two families of straight lines swept by the condition have envelopes outside the unit
 disk whose tangency pattern, governed by an epicycloid and an epitrochoid,
 partitions the a-plane into the region classes L0, L1, L2 (number of
 localization-free bands of b: zero, one, or two).
@@ -61,7 +63,7 @@ __all__ = [
 ]
 
 _T_MARGIN = 1e-9
-_GRID = 4096
+_ROOT_SEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -130,42 +132,51 @@ def _family_quotient(a: complex, b: complex, zeta):
     return (zeta - b) ** 2 / (zeta - a)
 
 
-def mass_points(
-    a: complex,
-    b: complex,
-    grid: int = _GRID,
-    t_margin: float = _T_MARGIN,
-) -> list[MassPointHalfline]:
-    """All atoms of the half-line measure for parameters (a, b).
+def _arc_roots(a, b):
+    """Roots of zeta p(zeta) - p*(zeta), batched over broadcast arrays a != 0
+    and b, and the mask of those that are unimodular and lie inside Sigma_a by
+    more than ``_T_MARGIN`` in Re(conj(a) zeta).  Roots at the arc ends (a
+    free walk, b = a, has one at each) carry no mass and are dropped.
 
-    Sign changes of Im[(zeta - b)^2/(zeta - a)] on a uniform grid over the
-    open arc (endpoints excluded by ``t_margin``, which enforces the
-    boundary exclusion) are bisected to parameter accuracy 1e-14.  Between
-    zero and three atoms exist.
+    Raises
+    ------
+    BorderlineA
+        If two of the four roots lie within ``_ROOT_SEP`` (a near-tangency).
+    """
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    ac, bc = a.conj(), b.conj()
+    # coefficients of degrees 3..0 over the leading one, -conj(a)
+    tail = (1 + 2 * ac * b - bc**2, 2 * (bc - b) - ac * b**2 + a * bc**2, b**2 - 1 - 2 * a * bc, a)
+    companion = np.zeros(a.shape + (4, 4), dtype=complex)
+    companion[..., 0, :] = np.stack(tail, axis=-1) / ac[..., None]
+    companion[..., 1, 0] = companion[..., 2, 1] = companion[..., 3, 2] = 1.0
+    roots = np.linalg.eigvals(companion)
+    i, j = np.triu_indices(4, 1)
+    if np.any(np.abs(roots[..., i] - roots[..., j]) < _ROOT_SEP):
+        raise BorderlineA(f"two roots of the atom equation lie within {_ROOT_SEP:g}")
+    inside = (ac[..., None] * roots).real < (np.abs(a) ** 2)[..., None] - _T_MARGIN
+    return roots, (np.abs(np.abs(roots) - 1.0) < 1e-7) & inside
+
+
+def mass_points(a: complex, b: complex) -> list[MassPointHalfline]:
+    """All atoms of the half-line measure for parameters (a, b), between
+    zero and three, ordered by arc parameter.
+
+    Each root of the quartic inside the open arc is polished by three Newton
+    steps on Im[(zeta(t) - b)^2/(zeta(t) - a)] along the arc.
     """
     if a == 0:
         raise ZeroA("mass_points requires a != 0")
-    t_lo, t_hi = sigma_arc(a)
-    ts = np.linspace(t_lo + t_margin, t_hi - t_margin, grid)
+    roots, keep = _arc_roots(a, b)
     u = a / abs(a)
-    quot = _family_quotient(a, b, u * np.exp(1j * ts))
-    im = quot.imag
-    out: list[MassPointHalfline] = []
-    sign = np.sign(im)
-    for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-        lo, hi = ts[i], ts[i + 1]
-        flo = im[i]
-        while hi - lo > 1e-14:
-            mid = 0.5 * (lo + hi)
-            fmid = _family_quotient(a, b, u * cmath.exp(1j * mid)).imag
-            if (flo < 0) == (fmid < 0):
-                lo, flo = mid, fmid
-            else:
-                hi = mid
-        t_root = 0.5 * (lo + hi)
-        out.append(_atom_from_parameter(a, b, t_root))
-    for i in np.nonzero(im == 0.0)[0]:  # exact grid hits
-        out.append(_atom_from_parameter(a, b, float(ts[i])))
+    ts = np.mod(np.angle(roots[keep] / u), 2.0 * math.pi)
+    out = []
+    for t in ts:
+        for _ in range(3):
+            zeta = u * cmath.exp(1j * t)  # d/dt Im q(zeta) = Re(q'(zeta) zeta)
+            slope = ((zeta - b) * (zeta - 2 * a + b) / (zeta - a) ** 2 * zeta).real
+            t -= _family_quotient(a, b, zeta).imag / slope
+        out.append(_atom_from_parameter(a, b, float(t)))
     out.sort(key=lambda p: p.t)
     return out
 
@@ -178,15 +189,27 @@ def _atom_from_parameter(a: complex, b: complex, t: float) -> MassPointHalfline:
     return MassPointHalfline(z0, zeta0, side, point_mass(a, b, zeta0), t)
 
 
-def mass_point_count(a: complex, b: complex, grid: int = _GRID) -> int:
-    """Number of atoms, by counting sign changes only (fast scan kernel)."""
-    if a == 0:
-        return 0
-    t_lo, t_hi = sigma_arc(a)
-    ts = np.linspace(t_lo + _T_MARGIN, t_hi - _T_MARGIN, grid)
-    im = _family_quotient(a, b, zeta_point(a, ts)).imag
-    sign = np.sign(im)
-    return int(np.count_nonzero(sign[:-1] * sign[1:] < 0) + np.count_nonzero(im == 0.0))
+def mass_point_count(a, b, grid: int | None = None):
+    """Number of atoms, broadcast over arrays of a and b; 0 where a = 0.
+
+    Returns an ``int`` for scalar input.  With ``grid`` the count is instead
+    the number of sign changes of Im[(zeta - b)^2/(zeta - a)] on that many
+    uniform points of the arc (scalars only): a sampling oracle that misses
+    atoms closer together than one cell.
+    """
+    if grid is not None:
+        if a == 0:
+            return 0
+        t_lo, t_hi = sigma_arc(a)
+        ts = np.linspace(t_lo + _T_MARGIN, t_hi - _T_MARGIN, grid)
+        im = _family_quotient(a, b, zeta_point(a, ts)).imag
+        sign = np.sign(im)
+        return int(np.count_nonzero(sign[:-1] * sign[1:] < 0) + np.count_nonzero(im == 0.0))
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    counts = np.zeros(a.shape, dtype=int)
+    nonzero = a != 0
+    counts[nonzero] = _arc_roots(a[nonzero], b[nonzero])[1].sum(axis=-1)
+    return int(counts) if counts.ndim == 0 else counts
 
 
 def point_mass(a: complex, b: complex, zeta0: complex) -> float:

@@ -22,3 +22,11 @@ def test_every_trace_target_resolves(monkeypatch):
         # the tracer looks targets up with vars(), so inherited or
         # re-exported names do not count
         assert callable(vars(owner).get(attr)), f"{owner_name}.{attr}"
+
+
+def test_reference_count_signature():
+    # perfbench/workloads.reference_counts calls this in a child process
+    from defectwalk import halfline
+
+    count = halfline.mass_point_count(0.5 + 0.5j, 0.5 + 0.5j, grid=4096)
+    assert type(count) is int and count == 1

@@ -125,6 +125,14 @@ class TestMasses:
         doc = json.loads(text)
         assert [round(p["m"], 10) for p in doc["mass_points"]] == [0.2] * 4
 
+    def test_near_tangent_halfline_exits_1(self, tmp_path):
+        code, _ = run_cli(
+            tmp_path, "masses", "--lattice", "halfline",
+            "--a=-0.5434497535063831,0.6101941756954485",
+            "--b=0.4714797994509592,0.8818764640770935",
+        )
+        assert code == 1
+
 
 class TestRegion:
     def test_line_a_plane_for_real_b(self, tmp_path):
@@ -178,6 +186,18 @@ class TestRegion:
         for r in rows:
             n = int(r["n_mass_points"])
             assert n == -1 or n >= 1
+
+    def test_halfline_a_plane_through_zero(self, tmp_path):
+        with np.errstate(all="raise"):
+            code, text = run_cli(
+                tmp_path, "region", "--lattice", "halfline", "--b", "0.2,0.1", "--grid", "9",
+            )
+        assert code == 0
+        counts = {
+            (float(r["a_re"]), float(r["a_im"])): int(r["n_mass_points"])
+            for r in csv.DictReader(io.StringIO(text))
+        }
+        assert counts[(0.0, 0.0)] == 0
 
     def test_determinism_under_threads(self, tmp_path):
         args = ["region", "--lattice", "halfline", "--a", "0.4,0.3", "--grid", "12"]

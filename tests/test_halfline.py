@@ -13,6 +13,12 @@ from defectwalk.schur import arc_nodes, support_arcs, weight_halfline
 
 S2 = math.sqrt(2.0)
 
+# (a, b, atoms): two atoms in one cell of a 4096-point arc grid
+ATOM_MISS_CASES = (
+    (complex(-0.5434497535063831, 0.6101941756954485), complex(0.4713107890953063, 0.8815603397065286), 2),
+    (complex(0.29105185925178745, -0.6105361335158941), complex(0.9972764540771692, -0.07096467506029103), 3),
+)
+
 
 class TestSigmaArc:
     def test_angular_length_exceeds_pi(self, rng):
@@ -43,7 +49,9 @@ class TestSigmaArc:
 
 class TestMassPoints:
     def test_hadamard_boundary_roots_excluded(self):
+        # b = a puts roots on both ends of Sigma_a; they carry no mass and raise nothing
         assert hl.mass_points(1j / S2, 1j / S2) == []
+        assert hl.mass_point_count(1j / S2, 1j / S2) == 0
 
     def test_hadamard_boundary_case_simulation_tail(self):
         # no atoms despite the h = 1 boundary solutions: the constant
@@ -88,6 +96,36 @@ class TestMassPoints:
             phi = np.unwrap(np.angle((zeta - b) ** 2 / (zeta - a)))
             recount = int(np.abs(np.diff(np.floor(phi / math.pi))).sum())
             assert hl.mass_point_count(a, b) == recount
+
+    @pytest.mark.parametrize("a, b, count", ATOM_MISS_CASES)
+    def test_atoms_closer_than_a_grid_cell(self, a, b, count):
+        pts = hl.mass_points(a, b)
+        assert len(pts) == count == hl.mass_point_count(a, b, grid=2**16)
+        for pt in pts:
+            assert hl.residual(a, b, pt) <= 1e-10
+            assert 0.0 < pt.mu < 1.0
+
+    def test_near_tangency_guard(self):
+        # b bisected toward the circle from the first atom-miss input until
+        # two roots of the quartic lie within 7.4e-7
+        a, b = ATOM_MISS_CASES[0][0], complex(0.4714797994509592, 0.8818764640770935)
+        with pytest.raises(BorderlineA):
+            hl.mass_points(a, b)
+        with pytest.raises(BorderlineA):
+            hl.mass_point_count(a, b)
+        with pytest.raises(BorderlineA):
+            hl.mass_point_count(np.array([a, 0.3]), np.array([b, 0.2]))
+
+    def test_batched_count_matches_points(self):
+        coords = -1.0 + (2 * np.arange(32) + 1) / 32
+        grid = (coords[None, :] + 1j * coords[:, None]).ravel()
+        grid = grid[np.abs(grid) < 1.0]
+        for a, b in ((0.45 - 0.3j, grid), (grid, 0.2 + 0.6j)):
+            counts = hl.mass_point_count(a, b)
+            pairs = np.broadcast(a, b)
+            assert counts.shape == pairs.shape
+            for c, (ai, bi) in zip(counts, pairs):
+                assert c == (len(hl.mass_points(ai, bi)) if ai != 0 else 0)
 
     def test_s_region_guarantees_roots(self, rng):
         for _ in range(40):
