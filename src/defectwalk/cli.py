@@ -329,13 +329,8 @@ def _cmd_region(args) -> int:
     points = np.array([complex(re, im) for im in coords for re in coords])
     inside = np.abs(points) < 1.0
     counts = np.full(points.shape, -1)
-    if lattice is Lattice.LINE:
-        for k in np.flatnonzero(inside):
-            a, b = (fixed, complex(points[k])) if has_a else (complex(points[k]), fixed)
-            counts[k] = ln.classify(a, b).n_mass_points
-    else:
-        a, b = (fixed, points[inside]) if has_a else (points[inside], fixed)
-        counts[inside] = hl.mass_point_count(a, b)
+    a, b = (fixed, points[inside]) if has_a else (points[inside], fixed)
+    counts[inside] = (ln if lattice is Lattice.LINE else hl).mass_point_count(a, b)
     header = ("b_re,b_im,n_mass_points" if has_a else "a_re,a_im,n_mass_points")
     lines = [header]
     for point, c in zip(points, counts):

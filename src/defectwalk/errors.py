@@ -65,7 +65,8 @@ class CuspParameter(DefectWalkError):
 
 class BorderlineA(DefectWalkError):
     """A decision sits on its boundary within tolerance and is not made
-    numerically: a on the classifying epitrochoid (region class), or two
+    numerically: a within 1e-9 of the classifying epitrochoid, measured to
+    the curve points over the roots of its cubic (region class), or two
     roots of the half-line atom equation nearly coinciding (atom count)."""
 
 

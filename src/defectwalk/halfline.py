@@ -16,7 +16,10 @@ by Newton steps; the sign of the real part selects the family.  For fixed a
 the two families of straight lines swept by the condition have envelopes outside the unit
 disk whose tangency pattern, governed by an epicycloid and an epitrochoid,
 partitions the a-plane into the region classes L0, L1, L2 (number of
-localization-free bands of b: zero, one, or two).
+localization-free bands of b: zero, one, or two).  Both curves are cubics in
+w = e^{it}, so the winding of each around a is the number of roots of
+curve(w) = a in the open unit disk (the argument principle): an exact count,
+with no sampling of the curves.
 """
 
 from __future__ import annotations
@@ -53,8 +56,6 @@ __all__ = [
     "epicycloid_velocity",
     "epitrochoid",
     "epitrochoid_velocity",
-    "curve_winding",
-    "curve_distance",
     "epicycloid_cusps",
     "epitrochoid_self_intersections",
     "state_function",
@@ -393,32 +394,27 @@ def epitrochoid_velocity(t) -> complex | np.ndarray:
     return val if val.ndim else complex(val)
 
 
-def curve_winding(curve, point: complex, samples: int = 8192) -> int:
-    """Winding number of a closed curve (parametrized over [0, 2pi]) around
-    a point off the curve."""
-    ts = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=True)
-    rel = np.asarray(curve(ts)) - point
-    turns = np.unwrap(np.angle(rel))
-    return int(round((turns[-1] - turns[0]) / (2.0 * math.pi)))
-
-
-def curve_distance(curve, point: complex, samples: int = 8192) -> float:
-    """Distance from ``point`` to a parametric curve, by grid search with
-    two zoom refinements (resolution well below 1e-9 for these curves)."""
-    lo, hi = 0.0, 2.0 * math.pi
-    best_t = 0.0
-    for _ in range(3):
-        ts = np.linspace(lo, hi, samples)
-        d = np.abs(np.asarray(curve(ts)) - point)
-        i = int(np.argmin(d))
-        best_t = ts[i]
-        width = (hi - lo) / samples
-        lo, hi = best_t - 2 * width, best_t + 2 * width
-    return float(abs(curve(best_t) - point))
-
+# The two curves as polynomials in w = e^{it}, highest degree first.
+_EPICYCLOID = (-0.25, 0.0, 0.75, 0.0)
+_EPITROCHOID = (-0.5, 0.0, 0.5, 0.0)
 
 _EDGE_TOL = 1e-12
 _BORDER_TOL = 1e-9
+
+
+def _disk_roots(curve, a: complex) -> tuple[int, float]:
+    """Roots of curve(w) = a: how many lie in the open unit disk, and the
+    smallest |curve(r/|r|) - a| over the roots r.
+
+    By the argument principle the count is the winding number of the curve
+    around a.  The second value is measured to a point on the curve, so it
+    bounds the distance from a to the curve from above and equals it to
+    first order; it is 0 at a cusp, where a double root of the cubic may sit
+    off the circle by the square root of the rounding error.
+    """
+    roots = np.roots(np.subtract(curve, (0.0, 0.0, 0.0, a)))
+    gap = np.abs(np.polyval(curve, roots / np.abs(roots)) - a).min()
+    return int(np.count_nonzero(np.abs(roots) < 1.0)), float(gap)
 
 
 def classify_region(a: complex) -> RegionClassHalfline:
@@ -426,21 +422,25 @@ def classify_region(a: complex) -> RegionClassHalfline:
 
     L_k means k limit chords cross the open complementary arc of Sigma_a,
     leaving k localization-free bands of b.  The epitrochoid winding number
-    around a (0, 1, or 2: outside, inside, inside a loop) is computed as an
+    around a (0, 1, or 2: outside, inside, inside a loop), counted exactly as
+    the roots of the cubic epitrochoid(w) = a in the open unit disk, is an
     independent cross-check; purely imaginary a makes two chords coincide in
-    a single tangent-degenerate line, counted once.
+    a single tangent-degenerate line, counted once.  The envelope tangencies
+    come from the same root count on the epicycloid: 4 outside it, 2 inside,
+    3 on it (within 1e-9, cusps included).
 
     Raises
     ------
     BorderlineA
-        If a is within 1e-9 of the epitrochoid: the class is discontinuous
-        across the curve and is not decided numerically.
+        If a is within 1e-9 of the epitrochoid, measured from a to the curve
+        points over the roots of the cubic: the class is discontinuous across
+        the curve and is not decided numerically.
     """
     if a == 0:
         raise ZeroA("classify_region requires a != 0")
-    if curve_distance(epitrochoid, a) <= _BORDER_TOL:
+    winding, dist = _disk_roots(_EPITROCHOID, a)
+    if dist <= _BORDER_TOL:
         raise BorderlineA("a lies on the classifying epitrochoid within 1e-9")
-    winding = curve_winding(epitrochoid, a)
     chords = limit_lines(a)
     aa = abs(a) ** 2
     crossings = 0
@@ -458,45 +458,19 @@ def classify_region(a: complex) -> RegionClassHalfline:
         )
     label = f"L{crossings}"
     profile = {0: "Te1+2", 1: "Te1+1", 2: "Te0+1"}[crossings]
-    if curve_distance(epicycloid, a) <= _BORDER_TOL:
+    inside, dist = _disk_roots(_EPICYCLOID, a)
+    if dist <= _BORDER_TOL:
         tangents = 3
     else:
-        tangents = 2 if curve_winding(epicycloid, a) else 4
+        tangents = 2 if inside else 4
     return RegionClassHalfline(label, chords, profile, winding, tangents)
 
 
 def epicycloid_cusps() -> list[complex]:
-    """Cusp points of the epicycloid, found by driving the speed to zero
-    (golden-section minimization of |velocity|^2 from bracketed grid minima)."""
-    return _speed_minima(epicycloid, epicycloid_velocity)
-
-
-def _speed_minima(curve, velocity) -> list[complex]:
-    ts = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
-    speed = np.abs(velocity(ts)) ** 2
-    out = []
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    for i in range(len(ts)):
-        before = speed[i - 1]
-        after = speed[(i + 1) % len(ts)]
-        if speed[i] < before and speed[i] < after:
-            lo = ts[i] - (ts[1] - ts[0])
-            hi = ts[i] + (ts[1] - ts[0])
-            x1 = hi - phi * (hi - lo)
-            x2 = lo + phi * (hi - lo)
-            f1 = abs(velocity(x1)) ** 2
-            f2 = abs(velocity(x2)) ** 2
-            for _ in range(120):
-                if f1 < f2:
-                    hi, x2, f2 = x2, x1, f1
-                    x1 = hi - phi * (hi - lo)
-                    f1 = abs(velocity(x1)) ** 2
-                else:
-                    lo, x1, f1 = x1, x2, f2
-                    x2 = lo + phi * (hi - lo)
-                    f2 = abs(velocity(x2)) ** 2
-            out.append(complex(curve(0.5 * (lo + hi))))
-    return out
+    """Cusp points of the epicycloid: its values at the unimodular roots of
+    the derivative of its polynomial in w = e^{it}."""
+    roots = np.roots(np.polyder(_EPICYCLOID))
+    return [complex(np.polyval(_EPICYCLOID, r)) for r in roots if abs(abs(r) - 1.0) < 1e-9]
 
 
 def epitrochoid_self_intersections() -> list[complex]:

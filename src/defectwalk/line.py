@@ -30,6 +30,7 @@ __all__ = [
     "condition_m",
     "mass_point_at",
     "classify",
+    "mass_point_count",
     "return_form",
     "return_probability_pm",
     "return_probability_limit",
@@ -85,14 +86,23 @@ def zeta_pm(b: complex) -> tuple[complex, complex]:
     return complex(r, b.imag), complex(-r, b.imag)
 
 
+def _on_arc(a, zeta):
+    """Whether the unimodular zeta lies on the open arc Sigma_a; ties within
+    1e-12 resolve to False because boundary roots carry no mass.  Written in
+    real products and sums, which round alike for Python scalars and numpy
+    arrays (complex products and abs do not), so that batched counts decide
+    exactly as ``classify`` does."""
+    return a.real * zeta.real + a.imag * zeta.imag < a.real * a.real + a.imag * a.imag - _DISK_TOL
+
+
 def condition_m(a: complex, b: complex, sign: int) -> bool:
     """Whether zeta_sign(b) lies on the open arc Sigma_a.
 
-    Stated as |a - zeta/2| > 1/2; boundary ties (within 1e-12) resolve to
-    False because boundary roots carry no mass.
+    Re(conj(a) zeta) < |a|^2, or |a - zeta/2| > 1/2, with ties within 1e-12
+    resolving to False: the one arc test, which ``classify``, the guard of
+    ``mass_point_at`` and ``mass_point_count`` apply as well.
     """
-    zeta = zeta_pm(b)[0 if sign > 0 else 1]
-    return abs(a - zeta / 2.0) > 0.5 + _DISK_TOL
+    return _on_arc(a, zeta_pm(b)[0 if sign > 0 else 1])
 
 
 def mass_point_at(a: complex, b: complex, omega: complex, zeta0: complex) -> MassPointLine:
@@ -104,7 +114,7 @@ def mass_point_at(a: complex, b: complex, omega: complex, zeta0: complex) -> Mas
         If zeta0 is not strictly inside the arc Sigma_a.
     """
     aa = abs(a) ** 2
-    if (a.conjugate() * zeta0).real >= aa - _DISK_TOL:
+    if not _on_arc(a, zeta0):
         raise BoundaryZeta("zeta0 is not strictly inside Sigma_a")
     w = 1.0 - a.conjugate() * zeta0
     z0 = w / abs(w)
@@ -113,6 +123,23 @@ def mass_point_at(a: complex, b: complex, omega: complex, zeta0: complex) -> Mas
     m = 0.5 * (1.0 - rho_a2 / abs(zeta0 - a) ** 2) / (1.0 + rho_b2 / abs(zeta0 - b) ** 2)
     eta = -omega * (zeta0 - a) / abs(zeta0 - a)
     return MassPointLine(z0, zeta0, float(m), eta)
+
+
+def mass_point_count(a, b):
+    """Number of atoms (0, 2 or 4), broadcast over arrays of a and b; 0
+    where a = 0.  Returns an ``int`` for scalar input.
+
+    Decides bit for bit as ``classify``: ``float_power`` is the libm pow of
+    the scalar ``b.imag ** 2`` in ``zeta_pm``.
+    """
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    zeta = np.empty(b.shape, dtype=complex)
+    zeta.imag = b.imag
+    counts = np.zeros(b.shape, dtype=int)
+    for sign in (1.0, -1.0):
+        zeta.real = sign * np.sqrt(1.0 - np.float_power(b.imag, 2))
+        counts += 2 * _on_arc(a, zeta)
+    return int(counts) if counts.ndim == 0 else counts
 
 
 def classify(a: complex, b: complex, omega: complex = 1.0 + 0j) -> LineClass:
@@ -124,8 +151,8 @@ def classify(a: complex, b: complex, omega: complex = 1.0 + 0j) -> LineClass:
     if a == 0:
         return LineClass("M0", ())
     zp, zm = zeta_pm(b)
-    plus = condition_m(a, b, +1)
-    minus = condition_m(a, b, -1)
+    plus = _on_arc(a, zp)
+    minus = _on_arc(a, zm)
     points: list[MassPointLine] = []
     if plus:
         mp = mass_point_at(a, b, omega, zp)

@@ -79,6 +79,22 @@ class TestClassify:
         assert doc["p_cesaro"] == pytest.approx(0.4226497, abs=1e-6)
         assert doc["nonlocalized_qubit"] is not None
 
+    def test_halfline_near_epitrochoid(self, tmp_path):
+        code, text = run_cli(
+            tmp_path, "classify", "--lattice", "halfline",
+            "--a=-0.7496553310982618,-0.11354090570451952", "--b=0.1,0.2",
+        )
+        assert code == 0 and json.loads(text)["l_label"] == "L1"
+
+    def test_line_arc_tie_gets_label(self, tmp_path):
+        code, text = run_cli(
+            tmp_path, "classify", "--lattice", "line",
+            "--a=0.8141682608528215,0.5020567995003031",
+            "--b=-0.0943046781365118,0.2537974020250196",
+        )
+        # zeta_+(b) sits on the 1e-12 tie; either side is a decision
+        assert code == 0 and json.loads(text)["label"] in ("M2minus", "M4")
+
     def test_diagonal_coin_reported(self, tmp_path):
         code, text = run_cli(
             tmp_path, "classify", "--lattice", "line",

@@ -19,6 +19,11 @@ ATOM_MISS_CASES = (
     (complex(0.29105185925178745, -0.6105361335158941), complex(0.9972764540771692, -0.07096467506029103), 3),
 )
 
+# 1e-7 off a curve, where an 8192-sample winding misread it: inside the
+# epitrochoid (L1, winding 1) and inside the epicycloid (2 tangencies)
+NEAR_EPITROCHOID = complex(-0.7496553310982618, -0.11354090570451952)
+NEAR_EPICYCLOID = complex(0.46925885959493074, -0.8329043270665373)
+
 
 class TestSigmaArc:
     def test_angular_length_exceeds_pi(self, rng):
@@ -312,13 +317,27 @@ class TestRegionClass:
             assert rc.l_label == "L1" and rc.tangent_profile == "Te1+1"
 
     def test_winding_crosscheck_on_random_points(self, rng):
-        for _ in range(40):
-            a = random_disk(rng, 0.95, 0.05)
+        points = [random_disk(rng, 0.95, 0.05) for _ in range(40)]
+        for d in (1.2e-9, 1e-8, 1e-7):
+            t = rng.uniform(0.0, 2 * math.pi, 20)
+            v = hl.epitrochoid_velocity(t)
+            points += list(hl.epitrochoid(t) + rng.choice([-d, d], 20) * 1j * v / np.abs(v))
+        for a in points + [NEAR_EPITROCHOID]:
             try:
-                rc = hl.classify_region(a)
+                rc = hl.classify_region(complex(a))
             except BorderlineA:
                 continue
             assert rc.l_label == f"L{rc.epitrochoid_winding}"
+
+    def test_near_curves_counted_exactly(self):
+        rc = hl.classify_region(NEAR_EPITROCHOID)
+        assert rc.l_label == "L1" and rc.epitrochoid_winding == 1
+        assert hl.classify_region(NEAR_EPICYCLOID).full_envelope_tangencies == 2
+
+    def test_cusp_has_three_tangencies(self):
+        # a double root of the epicycloid cubic, off the circle by ~1e-8
+        for a in (0.5, -0.5):
+            assert hl.classify_region(a).full_envelope_tangencies == 3
 
     def test_borderline_reported(self):
         a = hl.epitrochoid(0.9)
@@ -336,6 +355,13 @@ class TestCurves:
         assert len(cusps) == 2
         assert abs(cusps[0] + 0.5) <= 1e-9
         assert abs(cusps[1] - 0.5) <= 1e-9
+
+    def test_coefficients_match_closed_forms(self):
+        ts = np.linspace(0.0, 2 * math.pi, 512, endpoint=False)
+        w = np.exp(1j * ts)
+        # rounding of w^3 against e^{3it} alone reaches 1.0e-15
+        assert np.abs(np.polyval(hl._EPICYCLOID, w) - hl.epicycloid(ts)).max() <= 2e-15
+        assert np.abs(np.polyval(hl._EPITROCHOID, w) - hl.epitrochoid(ts)).max() <= 2e-15
 
     def test_epitrochoid_self_intersections(self):
         pts = sorted(hl.epitrochoid_self_intersections(), key=lambda z: z.real)

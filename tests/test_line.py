@@ -57,6 +57,30 @@ class TestClassify:
         cls = line.classify(A_HAD, A_HAD)
         assert cls.label == "M0" and cls.points == ()
 
+    def test_arc_ties_decided_once(self, rng):
+        # a and zeta_s(b) placed on the 1e-12 tie of the arc test, to within
+        # a few ulps: classify must not raise, and the batched count must
+        # decide each point as classify does
+        a_s, b_s = [], []
+        while len(a_s) < 2000:
+            b = complex(random_disk(rng, 0.95))
+            zeta = line.zeta_pm(b)[rng.integers(2)]
+            a = zeta / 2 + (0.5 + 1e-12 + rng.uniform(-3e-16, 3e-16)) * np.exp(2j * np.pi * rng.uniform())
+            if abs(a) < 1:
+                a_s.append(complex(a))
+                b_s.append(b)
+        counts = [line.classify(a, b).n_mass_points for a, b in zip(a_s, b_s)]
+        assert np.array_equal(line.mass_point_count(np.array(a_s), np.array(b_s)), counts)
+
+    def test_batched_count_matches_classify(self, rng):
+        a = np.array([random_disk(rng, 0.99) for _ in range(400)] + [0j])
+        b = np.array([random_disk(rng, 0.99) for _ in range(401)])
+        counts = line.mass_point_count(a, b)
+        assert counts.tolist() == [line.classify(complex(x), complex(y)).n_mass_points for x, y in zip(a, b)]
+        assert counts[-1] == 0
+        assert type(line.mass_point_count(A_HAD, B_KONNO_PI)) is int
+        assert line.mass_point_count(A_HAD, B_KONNO_PI) == 4
+
     def test_zero_a_short_circuit(self):
         assert line.classify(0.0, 0.3 + 0.1j).label == "M0"
 
