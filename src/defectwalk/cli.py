@@ -155,10 +155,14 @@ def _cmd_simulate(args) -> int:
 
 
 def _classification_payload(args):
+    """(lattice, params, qubits); params and qubits are None for a diagonal
+    constant coin, given as coins or as a = 0 on the half line."""
     lattice = Lattice.parse(args.lattice)
     try:
         a, b, omega, _, spec = _resolve_params(args)
     except DiagonalCoin:
+        return lattice, None, None
+    if a == 0 and lattice is Lattice.HALF_LINE:
         return lattice, None, None
     raw = getattr(args, "qubit", None)
     qubit = _parse_qubit("--qubit", raw) if raw else Qubit(1.0, 0.0)
@@ -236,18 +240,15 @@ def _classify_line_doc(a, b, omega, qubit, hatted):
 def _classify_halfline_doc(a, b, qubit, hatted):
     region = hl.classify_region(a)
     points = hl.mass_points(a, b)
-    p_cesaro = hl.return_probability_cesaro(a, b, hatted)
-    nlq = None
-    if len(points) == 1:
-        nq = hl.nonlocalized_qubit(a, b)
-        nlq = [nq.alpha.real, nq.alpha.imag, nq.beta.real, nq.beta.imag]
+    nq = hl._nonlocalized(b, points)
+    nlq = None if nq is None else [nq.alpha.real, nq.alpha.imag, nq.beta.real, nq.beta.imag]
     return {
         "schema_version": SCHEMA_VERSION,
         "lattice": "halfline",
         "l_label": region.l_label,
         "tangent_profile": region.tangent_profile,
         "mass_points": _halfline_rows(points),
-        "p_cesaro": p_cesaro,
+        "p_cesaro": hl._asymptotics(b, points, hatted).cesaro,
         "nonlocalized_qubit": nlq,
     }
 

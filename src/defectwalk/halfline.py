@@ -268,9 +268,13 @@ class ReturnAsymptotics:
 
 def return_asymptotics(a: complex, b: complex, q: Qubit) -> ReturnAsymptotics:
     """Atomic contributions to the return probability for a hatted qubit."""
+    return _asymptotics(b, mass_points(a, b), q)
+
+
+def _asymptotics(b: complex, points: list[MassPointHalfline], q: Qubit) -> ReturnAsymptotics:
     rho_b = math.sqrt(1.0 - abs(b) ** 2)
     zs, cs, ds = [], [], []
-    for pt in mass_points(a, b):
+    for pt in points:
         factor = q.alpha - q.beta * rho_b / (pt.zeta0 - b).conjugate()
         zs.append(pt.z0)
         cs.append(pt.mu * factor)
@@ -294,7 +298,10 @@ def return_probability_limit(a: complex, b: complex, q: Qubit) -> float:
 def nonlocalized_qubit(a: complex, b: complex) -> Qubit | None:
     """The localization-free qubit (hatted frame) when exactly one atom
     exists: beta = alpha (conj(zeta0) - conj(b)) / rho_b.  None otherwise."""
-    pts = mass_points(a, b)
+    return _nonlocalized(b, mass_points(a, b))
+
+
+def _nonlocalized(b: complex, pts: list[MassPointHalfline]) -> Qubit | None:
     if len(pts) != 1:
         return None
     rho_b = math.sqrt(1.0 - abs(b) ** 2)

@@ -6,7 +6,9 @@ Schur functions: ``schur_constant`` has reflection coefficients
 prepends the defect coefficient b.  Everything else here is derived from
 them: boundary values on the unit circle, the root functions whose
 unimodular solutions locate the atoms of the measure, the absolutely
-continuous weight, and the quadrature rule used to integrate it.
+continuous weight, and the quadrature rule used to integrate it: Gauss-Legendre
+after a cosine substitution that smooths the square-root endpoints of each
+arc (see :func:`arc_nodes`).
 
 Branch convention: the square root of the discriminant is the analytic
 branch on the disk with value +1 at z = 0, realized as a product of two
@@ -237,8 +239,8 @@ def weight_halfline(
     (a Moebius identity on top of 1 - |f_a|^2), which stays accurate beside
     the branch points where 1 - |h|^2 would otherwise cancel to noise.
     ``check_branch=False`` skips the branch-point proximity guard; the
-    quadrature uses it because its innermost panels legitimately sample
-    arbitrarily close to the (integrable) endpoints.
+    quadrature uses it because its nodes crowd quadratically toward the
+    (integrable) endpoints.
     """
     theta_arr = np.atleast_1d(np.asarray(theta, dtype=float))
     if check_branch:
@@ -307,32 +309,30 @@ def support_arcs(a: complex) -> tuple[tuple[float, float], tuple[float, float]]:
 
 @lru_cache(maxsize=32)
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+    return np.polynomial.legendre.leggauss(n)
 
 
-def arc_nodes(
-    lo: float, hi: float, total: int = 2000, levels: int = 48
-) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes/weights on [lo, hi].
+def arc_nodes(lo: float, hi: float, n: int = 256) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre rule on [lo, hi] after theta = mid - half cos(phi).
 
-    Panels are refined dyadically toward both endpoints (``levels`` halvings)
-    so integrable inverse-square-root endpoint singularities converge below
-    1e-6: the unresolved mass under the innermost panel scales like
-    2^(-levels/2) while every other panel sees an analytic integrand.  The
-    central half of the interval is split into eight uniform panels so that
-    moment integrands z^n with n of order 20 never put more than a fraction
-    of an oscillation period on one panel.
+    With mid and half the midpoint and half-length of [lo, hi] and (x_k, w_k)
+    the Legendre rule on [-1, 1], the rule is plain Gauss-Legendre in
+    phi_k = (pi/2)(x_k + 1) on [0, pi]: nodes mid - half cos(phi_k), weights
+    (pi/2) half sin(phi_k) w_k.  The weight's only non-analytic points on an
+    arc are its two endpoints, where it behaves like a square root or an
+    inverse square root.  Since theta - lo = 2 half sin^2(phi/2) and
+    dtheta = half sin(phi) dphi, both become analytic in phi, so the rule
+    converges exponentially.  Each node is placed from its nearer endpoint
+    (lo + 2 half sin^2(phi/2) or hi - 2 half cos^2(phi/2)), so the nodes
+    crowding an endpoint keep their offsets from it to full relative
+    precision.  The raw Legendre rule is computed once per n, on first use.
     """
-    fr = [0.0] + [2.0 ** (-k) for k in range(levels, 1, -1)]
-    middle = list(np.linspace(0.25, 0.75, 9)[1:-1])
-    breaks = np.array(fr + middle + [1.0 - f for f in reversed(fr)])
-    n_panels = len(breaks) - 1
-    per = max(8, total // n_panels)
-    x, w = _leggauss(per)
-    span = hi - lo
-    mids = lo + span * (breaks[:-1] + breaks[1:]) / 2.0
-    halves = span * (breaks[1:] - breaks[:-1]) / 2.0
-    nodes = (mids[:, None] + halves[:, None] * x[None, :]).ravel()
-    weights = (halves[:, None] * w[None, :]).ravel()
-    return nodes, weights
+    x, w = _leggauss(n)
+    phi = 0.5 * math.pi * (x + 1.0)
+    half = 0.5 * (hi - lo)
+    nodes = np.where(
+        phi < 0.5 * math.pi,
+        lo + 2.0 * half * np.sin(0.5 * phi) ** 2,
+        hi - 2.0 * half * np.cos(0.5 * phi) ** 2,
+    )
+    return nodes, (0.5 * math.pi * half) * np.sin(phi) * w

@@ -104,6 +104,21 @@ class TestClassify:
         doc = json.loads(text)
         assert doc["no_localization"] is True
 
+    @pytest.mark.parametrize("command", ["classify", "masses", "return-prob"])
+    def test_halfline_zero_a_is_diagonal_coin(self, tmp_path, command):
+        # a = 0 is the diagonal constant coin, given by its parameter
+        code, text = run_cli(
+            tmp_path, command, "--lattice", "halfline", "--a", "0,0", "--b", "0.2,0.1",
+        )
+        _, coin_text = run_cli(
+            tmp_path, command, "--lattice", "halfline",
+            "--coin", IDENTITY_FLAG, "--defect", H_FLAG,
+        )
+        assert code == 0 and text == coin_text
+        if command == "classify":
+            doc = json.loads(text)
+            assert doc["no_localization"] is True and doc["mass_points"] == []
+
     def test_roundtrip_reparse(self, tmp_path):
         _, text = run_cli(
             tmp_path, "classify", "--lattice", "line", "--coin", H_FLAG,

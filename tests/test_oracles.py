@@ -103,12 +103,31 @@ class TestMomentByQuadrature:
         assert abs(walk_moment_prediction(spec, 2) - sim[2]) <= 1e-6
         assert abs(raw - sim[2]) > 1e-3
 
-    def test_nonconvergence_detected_with_coarse_panels(self):
-        # boundary-root weight (inverse-square-root endpoints) with almost no
-        # endpoint refinement: the two node counts disagree measurably
+    def test_nonconvergence_detected_with_few_nodes(self):
+        # boundary-root weight (inverse-square-root endpoints) on 4 nodes per
+        # arc against 2, then after the doubling 8 against 4: the node counts
+        # still disagree measurably
         a = 1j / math.sqrt(2)
         with pytest.raises(QuadratureNotConverged):
-            moment_by_quadrature(a, a, 1.0, 0, Lattice.HALF_LINE, levels=3)
+            moment_by_quadrature(a, a, 1.0, 0, Lattice.HALF_LINE, nodes=4)
+
+    def test_resonance_near_arc_resolved_by_doubling(self):
+        # the weight's continuation has a pole 0.03 off the circle inside a
+        # support arc: 128 nodes per arc miss the 256-node integral by 7e-5 at
+        # n = 20, and 512 nodes confirm it
+        a, b = -0.607939099758121 + 0.5748288093358456j, 0.2170820501987142 - 0.8597173006928841j
+        spec = spec_for_halfline_params(a, b)
+        sim = moments_at_origin(spec, 20)
+        for n in range(21):
+            assert abs(walk_moment_prediction(spec, n) - sim[n]) <= 1e-9
+
+    @pytest.mark.parametrize("lattice", list(Lattice))
+    def test_hadamard_boundary_root_weight_matches_simulation(self, lattice):
+        # the Hadamard weight has inverse-square-root endpoints on both lattices
+        spec = WalkSpec(lattice, hadamard(), hadamard())
+        sim = moments_at_origin(spec, 20)
+        for n in range(21):
+            assert np.abs(np.asarray(walk_moment_prediction(spec, n)) - sim[n]).max() <= 1e-9
 
 
 class TestBruteForce:

@@ -253,6 +253,20 @@ class TestWeights:
         assert abs(total / (2 * math.pi) - 1.0) <= 1e-6
 
 
+@pytest.mark.parametrize("length", [0.5, 2.0, math.pi])
+def test_arc_nodes_integrate_endpoint_singularities(length):
+    # After the cosine substitution both endpoint behaviours are analytic,
+    # so the default rule is exact to rounding.  The singular endpoint sits
+    # at 0, where theta itself is the node's offset from it.
+    exact = math.pi / 2 * length
+    th, w = schur.arc_nodes(0.0, length)
+    assert 0.0 < th.min() and th.max() < length
+    assert abs(np.sum(w * th**-0.5 * (length - th) ** 0.5) - exact) <= 1e-13
+    th, w = schur.arc_nodes(-length, 0.0)
+    assert abs(np.sum(w * (th + length) ** 0.5 * (-th) ** -0.5) - exact) <= 1e-13
+    assert abs(np.sum(w) - length) <= 1e-13
+
+
 def test_support_arcs_cover_complement():
     a = 0.5 * np.exp(0.7j)
     (l1, h1), (l2, h2) = schur.support_arcs(a)
