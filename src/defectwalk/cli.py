@@ -380,6 +380,8 @@ def _cmd_curves(args) -> int:
 def _cmd_weight(args) -> int:
     lattice = Lattice.parse(args.lattice)
     a, b, omega, _, _ = _resolve_params(args)
+    if a == 0:  # the diagonal coin, refused like its coins in _resolve_params
+        raise DiagonalCoin("constant coin is diagonal: no localization (a = 0)")
     n = args.theta_grid
     if n < 8:
         raise _fail_usage("--theta-grid: must be >= 8")

@@ -32,8 +32,9 @@ state; with ``to_dense`` it is the evolution oracle.  The walk functions
 simulated moments of ``oracles``) instead step in natural site order, "coin,
 then shift", which is the two-factor block structure behind the CMV
 factorization, and touch only the sites inside the light cone of the start
-sites that can still reach an observed site.  Both perform the same
-floating-point operations on every amplitude, so they agree bit for bit.
+sites that can still reach an observed site.  Both put the state left of
+the coin in every product (numpy's fused complex multiply rounds ``x * c``
+and ``c * x`` apart) and add the same two products, so they agree bit for bit.
 
 Truncation: amplitudes are exact for the infinite system as long as the
 ballistic cone (one site per step) stays inside the matrix.  The enforced
@@ -56,9 +57,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coins import Lattice, Qubit, WalkSpec
-from .errors import SizeTooSmall, TruncationTooSmall
+from .errors import SizeTooSmall, TooLarge, TruncationTooSmall
 
 __all__ = [
+    "MAX_STEPS",
     "BandedUnitary",
     "index_of",
     "site_of_index",
@@ -76,6 +78,10 @@ __all__ = [
     "return_probability_series",
     "moments_at_origin",
 ]
+
+MAX_STEPS = 100_000
+"""Most steps a walk function takes; more raise ``TooLarge`` before any
+buffer is allocated."""
 
 
 def index_of(lattice: Lattice, site: int, up: bool) -> int:
@@ -452,10 +458,17 @@ def _walk(
 
     with, on the half line, the down output of site 0 reflected into (0, up).
     Step n covers only the sites in the forward light cone of the starts that
-    can still reach an observed site.  Every product is an array times a
-    scalar and every sum adds two products, as in ``BandedUnitary.step``, so
-    the results equal the band's bit for bit.
+    can still reach an observed site.  State and coin are stacked as
+    ``s[row, spin, batch]`` (spin 0 up) and ``coin[out, row, in]``, with the
+    defect matrix in the row of site 0, so a step is one multiply, one add per
+    spin and one gather; rows come first, so that a window of either is one
+    contiguous block per output spin.  The state is the left operand, as
+    ``psi`` is in ``BandedUnitary.step``: numpy's fused multiply-add rounds
+    ``x * c`` and ``c * x`` apart, and only this order equals the band bit for
+    bit.  More than ``MAX_STEPS`` steps raise ``TooLarge``.
     """
+    if steps > MAX_STEPS:
+        raise TooLarge(f"walks are capped at {MAX_STEPS} steps, got {steps}")
     half = spec.lattice is Lattice.HALF_LINE
     starts_at = [site for state in starts for site, _ in state]
     seen_at = [site for site, _ in observe]
@@ -463,41 +476,36 @@ def _walk(
         raise ValueError("half-line sites are nonnegative")
     first, last = min(starts_at), max(starts_at)
     seen_lo, seen_hi = min(seen_at), max(seen_at)
-    # buffer row r holds site r + base, with a spare row past each cone edge;
-    # on the half line row 0 (site -1) receives the output to be reflected
-    base = -1 if half else min(first - steps, seen_lo) - 1
-    rows = max(last + steps, seen_hi) + 2 - base
     floor = 0 if half else -math.inf
+    # buffer row r holds site r + base, with a spare row past each cone edge;
+    # on the half line a cone that reaches the wall puts site -1 in row 0,
+    # which receives the output to be reflected
+    base = max(min(first - steps, seen_lo), floor) - 1
+    rows = max(last + steps, seen_hi) + 2 - base
     batch = len(starts)
-    up, dn, up_next, dn_next, part = (
-        np.zeros((rows, batch), dtype=complex) for _ in range(5)
-    )
+    s, s_next = np.zeros((2, rows, 2, batch), dtype=complex)
+    prod = np.empty((2, rows, 2, batch), dtype=complex)
+    coin = np.repeat(spec.coin.matrix[:, None, :, None], rows, axis=1)
+    z = -base  # row of site 0
+    if 0 <= z < rows:
+        coin[:, z, :, 0] = spec.defect.matrix
     for b, state in enumerate(starts):
         for (site, is_up), amp in state.items():
-            (up if is_up else dn)[site - base, b] = amp
-    taps = [(site - base, is_up) for site, is_up in observe]
-    out = np.empty((steps + 1, batch, len(observe)), dtype=complex)
-    for k, (row, is_up) in enumerate(taps):
-        out[0, :, k] = (up if is_up else dn)[row]
-    coin, defect = spec.coin.matrix.ravel(), spec.defect.matrix.ravel()
-    z = -base  # row of site 0
+            s[site - base, 0 if is_up else 1, b] = amp
+    row, spin = np.array([(site - base, 0 if is_up else 1) for site, is_up in observe]).T
+    out = np.empty((steps + 1, len(observe), batch), dtype=complex)
+    out[0] = s[row, spin]
     for n in range(steps):
         lo = max(first - n, seen_lo - (steps - n), floor) - base
         hi = min(last + n, seen_hi + (steps - n)) + 1 - base
-        # the constant coin on the window, then the defect coin over site 0 on
-        # 1-element slices, so that it rounds exactly like the bulk
-        runs = [(lo, hi, coin)] + ([(z, z + 1, defect)] if lo <= z < hi else [])
-        for a, b, (c11, c12, c21, c22) in runs:
-            for dst, x, y in ((up_next[a + 1 : b + 1], c11, c12), (dn_next[a - 1 : b - 1], c21, c22)):
-                np.multiply(up[a:b], x, out=dst)
-                np.multiply(dn[a:b], y, out=part[a:b])
-                dst += part[a:b]
-        if half and lo == z:
-            up_next[z] = dn_next[z - 1]
-        up, up_next, dn, dn_next = up_next, up, dn_next, dn
-        for k, (row, is_up) in enumerate(taps):
-            out[n + 1, :, k] = (up if is_up else dn)[row]
-    return out
+        np.multiply(s[None, lo:hi], coin[:, lo:hi], out=prod[:, lo:hi])
+        np.add(prod[0, lo:hi, 0], prod[0, lo:hi, 1], out=s_next[lo + 1 : hi + 1, 0])
+        np.add(prod[1, lo:hi, 0], prod[1, lo:hi, 1], out=s_next[lo - 1 : hi - 1, 1])
+        if half and lo == z:  # lo >= 1, so z - 1 is a row
+            s_next[z, 0] = s_next[z - 1, 1]
+        s, s_next = s_next, s
+        out[n + 1] = s[row, spin]
+    return np.ascontiguousarray(out.transpose(0, 2, 1))
 
 
 def _require_dimension(lattice: Lattice, steps: int, site: int, dimension: int | None):

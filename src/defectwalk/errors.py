@@ -75,4 +75,5 @@ class QuadratureNotConverged(DefectWalkError):
 
 
 class TooLarge(DefectWalkError):
-    """A brute-force oracle was asked for more work than its cost guard allows."""
+    """A walk or a brute-force oracle was asked for more steps than its cap
+    allows (``cmv.MAX_STEPS``, 64 for ``brute_force_return``)."""

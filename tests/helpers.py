@@ -1,9 +1,11 @@
-"""Shared test utilities: random draws and an independent reference evolver."""
+"""Shared test utilities: random draws, an independent reference evolver and
+the band loop the site-ordered kernel must match bit for bit."""
 
 from collections import defaultdict
 
 import numpy as np
 
+from defectwalk.cmv import build_transition
 from defectwalk.coins import Lattice, Qubit, WalkSpec, random_coin
 
 
@@ -45,3 +47,13 @@ def reference_evolve(spec: WalkSpec, state: dict, steps: int) -> dict:
                 new[(site - 1, False)] += coin.c22 * amp
         state = dict(new)
     return state
+
+
+def band_states(spec: WalkSpec, psi0: np.ndarray, steps: int, dim: int) -> list:
+    """psi0, psi0 U, ..., psi0 U^steps by the banded step: the reference
+    arithmetic for the site-ordered kernel."""
+    u = build_transition(spec, dim, check=False)
+    states = [psi0]
+    for _ in range(steps):
+        states.append(u.step(states[-1]))
+    return states

@@ -36,6 +36,18 @@ class TestSimulate:
         assert rows[0]["p"] == "1"
         assert float(rows[13]["p"]) == 0.0  # odd step on the line
 
+    def test_step_cap(self, tmp_path, capsys, monkeypatch):
+        import defectwalk.cmv
+
+        # the kernel must refuse before it touches numpy
+        monkeypatch.setattr(defectwalk.cmv, "np", None)
+        code, text = run_cli(
+            tmp_path, "simulate", "--lattice", "line", "--coin", H_FLAG, "--defect", H_FLAG,
+            "--steps", str(defectwalk.cmv.MAX_STEPS + 1), "--qubit", "1,0,0,0",
+        )
+        assert code == 1 and text == ""
+        assert "TooLarge" in capsys.readouterr().err
+
     def test_dimension_floor_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli(
@@ -297,6 +309,22 @@ class TestWeight:
         }
         for r in rows:
             assert float(r["w11_im"]) == 0.0 or math.isnan(float(r["w11_im"]))
+
+
+    @pytest.mark.parametrize("lattice", ["halfline", "line"])
+    def test_zero_a_is_diagonal_coin(self, tmp_path, capsys, lattice):
+        # a = 0 is the diagonal constant coin: both routes exit 1 alike
+        code, text = run_cli(
+            tmp_path, "weight", "--lattice", lattice, "--a", "0,0", "--b", "0.2,0.1",
+            "--theta-grid", "8",
+        )
+        err = capsys.readouterr().err
+        coin_code, _ = run_cli(
+            tmp_path, "weight", "--lattice", lattice, "--coin", IDENTITY_FLAG,
+            "--defect", H_FLAG, "--theta-grid", "8",
+        )
+        assert code == coin_code == 1 and text == ""
+        assert "DiagonalCoin" in err and err == capsys.readouterr().err
 
 
 class TestVerify:

@@ -1,8 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from helpers import random_qubit, random_spec, reference_evolve
+from helpers import band_states, random_qubit, random_spec, reference_evolve
 
+from defectwalk import cmv
 from defectwalk.cmv import (
+    MAX_STEPS,
+    _qubit_amplitudes,
+    _walk,
     amplitude,
     basis_state,
     build_lambda,
@@ -25,7 +31,7 @@ from defectwalk.coins import (
     identity_coin,
     konno_defect,
 )
-from defectwalk.errors import SizeTooSmall, TruncationTooSmall
+from defectwalk.errors import SizeTooSmall, TooLarge, TruncationTooSmall
 from defectwalk.oracles import simulated_moments
 
 
@@ -225,16 +231,6 @@ class TestAmplitude:
         assert default_dimension(Lattice.LINE, 100, 0) == 436
 
 
-def band_states(spec, psi0, steps, dim):
-    """psi0, psi0 U, ..., psi0 U^steps by the banded step: the reference
-    arithmetic for the site-ordered kernel."""
-    u = build_transition(spec, dim, check=False)
-    states = [psi0]
-    for _ in range(steps):
-        states.append(u.step(states[-1]))
-    return states
-
-
 class TestKernelMatchesBand:
     """The kernel steps in site order inside the light cone; the band steps
     the whole truncation in CMV order.  Results must agree bit for bit."""
@@ -283,6 +279,94 @@ class TestKernelMatchesBand:
             states = band_states(spec, basis_state(spec.lattice, site, False, dim), self.STEPS, dim)
             for j in (i, index_of(spec.lattice, site + 1, True), index_of(spec.lattice, 0, True)):
                 assert amplitude(spec, i, j, self.STEPS, dim) == states[-1][j]
+
+    def test_seeded_specs(self):
+        # 20 specs per lattice, 1-300 steps, starts at sites 0-3; the line
+        # also runs the two-vector batch of moments_at_origin
+        rng = np.random.default_rng(11)
+        for lattice in Lattice:
+            for _ in range(20):
+                spec, q = random_spec(rng, lattice), random_qubit(rng)
+                steps, site = int(rng.integers(1, 301)), int(rng.integers(0, 4))
+                dim = default_dimension(lattice, steps, site)
+                taps = [index_of(lattice, site, True), index_of(lattice, site, False)]
+                states = band_states(spec, qubit_state(lattice, site, q, dim), steps, dim)
+                band = np.array([psi[taps] for psi in states])
+                assert np.array_equal(_qubit_amplitudes(spec, site, q, steps), band)
+                if lattice is Lattice.LINE:
+                    block = [basis_state(lattice, 0, True, dim), basis_state(lattice, -1, False, dim)]
+                    rows = [band_states(spec, psi0, steps, dim) for psi0 in block]
+                    band = np.array([[r[n][:2] for r in rows] for n in range(steps + 1)])
+                    assert np.array_equal(moments_at_origin(spec, steps), band)
+
+    def test_many_observed_sites(self, rng):
+        # one walk from site 3 observed at sites 0, 3 and 5, both spins
+        observe = [(site, up) for site in (0, 3, 5) for up in (True, False)]
+        for lattice in Lattice:
+            spec, q = random_spec(rng, lattice), random_qubit(rng)
+            dim = default_dimension(lattice, self.STEPS, 3)
+            states = band_states(spec, qubit_state(lattice, 3, q, dim), self.STEPS, dim)
+            taps = [index_of(lattice, site, up) for site, up in observe]
+            band = np.array([psi[taps] for psi in states])
+            start = {(3, True): q.alpha, (3, False): q.beta}
+            assert np.array_equal(_walk(spec, [start], observe, self.STEPS)[:, 0], band)
+
+    def test_state_is_the_left_operand(self, rng):
+        # numpy's complex multiply is a fused multiply-add, so x * c and c * x
+        # round differently for about a third of draws; the kernel must
+        # compute x * c, as the band's psi * band[:, k] does
+        x = rng.normal(size=2000) + 1j * rng.normal(size=2000)
+        for lattice in Lattice:
+            spec = random_spec(rng, lattice)
+            for site, coin in ((5, spec.coin), (0, spec.defect)):
+                # on the half line site 0's down output is reflected into (0, up)
+                wall = lattice is Lattice.HALF_LINE and site == 0
+                observe = [(site + 1, True), (0, True) if wall else (site - 1, False)]
+                for is_up in (True, False):
+                    starts = [{(site, is_up): v} for v in x]
+                    out = _walk(spec, starts, observe, 1)[1]
+                    assert np.array_equal(out, x[:, None] * coin.matrix[:, 0 if is_up else 1])
+
+
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} reached past the step cap")
+
+
+def test_step_cap_refuses_before_allocating(rng, monkeypatch):
+    # numpy is out of reach in cmv, so a missing guard fails at once instead
+    # of running (and allocating for) a walk of MAX_STEPS + 1 steps
+    monkeypatch.setattr(cmv, "np", _NoNumpy())
+    steps = MAX_STEPS + 1
+    for lattice in Lattice:
+        spec, q = random_spec(rng, lattice), random_qubit(rng)
+        for call in (
+            lambda: return_probability_series(spec, 0, q, steps),
+            lambda: moments_at_origin(spec, steps),
+            lambda: amplitude(spec, 0, 0, steps),
+            lambda: simulated_moments(spec, 0, q, steps),
+        ):
+            with pytest.raises(TooLarge):
+                call()
+    # MAX_STEPS itself passes the cap: a bad site then fails before any buffer
+    with pytest.raises(ValueError):
+        _walk(spec, [{(-1, True): 1.0}], [(0, True)], MAX_STEPS)
+
+
+def test_halfline_buffer_spans_the_cone(rng):
+    # ten steps from a far site touch 21 sites; the buffer must not reach
+    # back to the wall, and inside the cone both lattices see only the coin
+    spec, q = random_spec(rng, Lattice.HALF_LINE), random_qubit(rng)
+    line = WalkSpec(Lattice.LINE, spec.coin, spec.defect)
+    site = 200_000
+    tracemalloc.start()
+    try:
+        half_series = return_probability_series(spec, site, q, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024
+    assert np.array_equal(half_series, return_probability_series(line, site, q, 10))
 
 
 def test_build_check_holds_at_large_dimension():
