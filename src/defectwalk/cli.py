@@ -31,10 +31,16 @@ from .coins import (
     random_coin,
     validate_coin,
 )
-from .errors import DefectWalkError, DiagonalCoin
-from .schur import weight_halfline, weight_line
+from .errors import DefectWalkError, DiagonalCoin, TooLarge
+from .schur import _branch_mask, weight_halfline, weight_line
 
 SCHEMA_VERSION = 1
+
+# Caps on the size flags, checked before anything is allocated: --grid
+# (an n x n grid), --theta-grid (rows of weight) and --samples (points per curve).
+MAX_GRID = 2048
+MAX_THETA_GRID = 1 << 20
+MAX_SAMPLES = 1 << 16
 
 _COIN_FIELDS = ("c11_re", "c11_im", "c12_re", "c12_im", "c21_re", "c21_im", "c22_re", "c22_im")
 
@@ -83,6 +89,15 @@ def _parse_qubit(flag: str, text: str) -> Qubit:
         return Qubit.normalized(complex(v[0], v[1]), complex(v[2], v[3]))
     except ZeroDivisionError:
         raise _fail_usage(f"{flag}: zero qubit")
+
+
+def _size(flag: str, n: int, floor: int, cap: int) -> int:
+    """n if floor <= n <= cap: exit 2 below the floor, TooLarge above the cap."""
+    if n < floor:
+        raise _fail_usage(f"{flag}: must be >= {floor}")
+    if n > cap:
+        raise TooLarge(f"{flag}: {n} exceeds the cap {cap}")
+    return n
 
 
 def _emit(args, text: str):
@@ -315,8 +330,7 @@ def _grid_coords(n: int) -> np.ndarray:
 
 def _cmd_region(args) -> int:
     lattice = Lattice.parse(args.lattice)
-    if args.grid < 8:
-        raise _fail_usage("--grid: must be >= 8")
+    grid = _size("--grid", args.grid, 8, MAX_GRID)
     has_a = args.a is not None
     has_b = args.b is not None
     if has_a == has_b:
@@ -326,7 +340,7 @@ def _cmd_region(args) -> int:
         raise _fail_usage("fixed parameter must lie in the open unit disk")
     if has_a and fixed == 0:
         raise _fail_usage("--a: must be nonzero")
-    coords = _grid_coords(args.grid)
+    coords = _grid_coords(grid)
     points = np.array([complex(re, im) for im in coords for re in coords])
     inside = np.abs(points) < 1.0
     counts = np.full(points.shape, -1)
@@ -341,9 +355,7 @@ def _cmd_region(args) -> int:
 
 
 def _cmd_curves(args) -> int:
-    n = args.samples
-    if n < 16:
-        raise _fail_usage("--samples: must be >= 16")
+    n = _size("--samples", args.samples, 16, MAX_SAMPLES)
     ts = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
     lines = ["curve,t,re,im"]
 
@@ -382,28 +394,21 @@ def _cmd_weight(args) -> int:
     a, b, omega, _, _ = _resolve_params(args)
     if a == 0:  # the diagonal coin, refused like its coins in _resolve_params
         raise DiagonalCoin("constant coin is diagonal: no localization (a = 0)")
-    n = args.theta_grid
-    if n < 8:
-        raise _fail_usage("--theta-grid: must be >= 8")
+    n = _size("--theta-grid", args.theta_grid, 8, MAX_THETA_GRID)
     thetas = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
-    if lattice is Lattice.HALF_LINE:
-        lines = ["theta,w"]
-        for t in thetas:
-            try:
-                w = weight_halfline(a, b, float(t))
-                lines.append(f"{_fmt(t)},{_fmt(w)}")
-            except DefectWalkError:
-                lines.append(f"{_fmt(t)},nan")
-    else:
-        lines = ["theta,w11_re,w11_im,w12_re,w12_im,w21_re,w21_im,w22_re,w22_im"]
-        for t in thetas:
-            try:
-                w = weight_line(a, b, omega, float(t))
-                vals = [w[0, 0], w[0, 1], w[1, 0], w[1, 1]]
-                flat = ",".join(f"{_fmt(v.real)},{_fmt(v.imag)}" for v in vals)
-                lines.append(f"{_fmt(t)},{flat}")
-            except DefectWalkError:
-                lines.append(f"{_fmt(t)}," + ",".join(["nan"] * 8))
+    branch = _branch_mask(a, thetas)  # the rows a checked call would refuse
+    with np.errstate(all="ignore"):  # the branch rows may divide by zero
+        if lattice is Lattice.HALF_LINE:
+            ws = weight_halfline(a, b, thetas, check_branch=False)
+            lines = ["theta,w"]
+            for t, w, nan in zip(thetas, ws, branch):
+                lines.append(f"{_fmt(t)},nan" if nan else f"{_fmt(t)},{_fmt(w)}")
+        else:
+            ws = weight_line(a, b, omega, thetas, check_branch=False).reshape(n, 4)
+            lines = ["theta,w11_re,w11_im,w12_re,w12_im,w21_re,w21_im,w22_re,w22_im"]
+            for t, w, nan in zip(thetas, ws, branch):
+                flat = ",".join(f"{_fmt(v.real)},{_fmt(v.imag)}" for v in w)
+                lines.append(f"{_fmt(t)}," + (",".join(["nan"] * 8) if nan else flat))
     _emit(args, "\n".join(lines) + "\n")
     return 0
 

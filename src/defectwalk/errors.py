@@ -48,7 +48,8 @@ class ZeroA(DefectWalkError):
 
 
 class ParameterOutOfDisk(DefectWalkError):
-    """A reflection coefficient lies outside the open unit disk."""
+    """A reflection coefficient or parameter (a, b) is not strictly inside
+    the unit disk, or is not finite."""
 
 
 class BranchPoint(DefectWalkError):
@@ -76,4 +77,5 @@ class QuadratureNotConverged(DefectWalkError):
 
 class TooLarge(DefectWalkError):
     """A walk or a brute-force oracle was asked for more steps than its cap
-    allows (``cmv.MAX_STEPS``, 64 for ``brute_force_return``)."""
+    allows (``cmv.MAX_STEPS``, 64 for ``brute_force_return``), or a CLI size
+    flag exceeds its cap (``cli.MAX_GRID``, ``MAX_THETA_GRID``, ``MAX_SAMPLES``)."""

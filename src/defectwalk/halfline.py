@@ -11,15 +11,17 @@ with z(zeta) = (1 - conj(a) zeta)/|1 - conj(a) zeta| and zeta restricted to
 the open arc Sigma_a.  On |zeta| = 1 the quotient is real exactly where
 zeta p(zeta) = p*(zeta), with p(zeta) = (zeta - b)^2 (1 - conj(a) zeta) and
 p* its reciprocal conjugate: the atoms are the unimodular roots of that
-quartic on the open arc, taken as companion-matrix eigenvalues and polished
-by Newton steps; the sign of the real part selects the family.  For fixed a
-the two families of straight lines swept by the condition have envelopes outside the unit
-disk whose tangency pattern, governed by an epicycloid and an epitrochoid,
-partitions the a-plane into the region classes L0, L1, L2 (number of
-localization-free bands of b: zero, one, or two).  Both curves are cubics in
-w = e^{it}, so the winding of each around a is the number of roots of
-curve(w) = a in the open unit disk (the argument principle): an exact count,
-with no sampling of the curves.
+quartic on the open arc, polished by Newton steps; the sign of the real
+part selects the family.  For fixed a the two families of straight lines
+swept by the condition have envelopes outside the unit disk whose tangency
+pattern, governed by an epicycloid and an epitrochoid, partitions the
+a-plane into the region classes L0, L1, L2 (number of localization-free
+bands of b: zero, one, or two).  Both curves are cubics in w = e^{it}, so
+the winding of each around a is the number of roots of curve(w) = a in the
+open unit disk (the argument principle): an exact count.  The cusps and the
+double points of the curves are roots as well.  Every root here is a
+companion-matrix eigenvalue from one batched helper; only the ``grid``
+oracle of ``mass_point_count`` samples.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 
 from .coins import Qubit
 from .errors import BorderlineA, BoundaryZeta, CuspParameter, ZeroA
-from .schur import h_halfline_boundary
+from .schur import _check_disk, h_halfline_boundary
 
 __all__ = [
     "MassPointHalfline",
@@ -133,6 +135,19 @@ def _family_quotient(a: complex, b: complex, zeta):
     return (zeta - b) ** 2 / (zeta - a)
 
 
+def _companion_roots(coeffs):
+    """Roots of the polynomials stacked along the last axis of ``coeffs``
+    (highest degree first, leading coefficient nonzero): eigenvalues of the
+    companion matrices built as ``np.roots`` builds them (first row
+    -p[1:]/p[0], ones below the diagonal, same dtype), so they round alike."""
+    p = np.asarray(coeffs)
+    n = p.shape[-1] - 1
+    companion = np.zeros(p.shape[:-1] + (n, n), dtype=p.dtype)
+    companion[..., 0, :] = -p[..., 1:] / p[..., :1]
+    companion[..., range(1, n), range(n - 1)] = 1
+    return np.linalg.eigvals(companion)
+
+
 def _arc_roots(a, b):
     """Roots of zeta p(zeta) - p*(zeta), batched over broadcast arrays a != 0
     and b, and the mask of those that are unimodular and lie inside Sigma_a by
@@ -146,12 +161,8 @@ def _arc_roots(a, b):
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
     ac, bc = a.conj(), b.conj()
-    # coefficients of degrees 3..0 over the leading one, -conj(a)
-    tail = (1 + 2 * ac * b - bc**2, 2 * (bc - b) - ac * b**2 + a * bc**2, b**2 - 1 - 2 * a * bc, a)
-    companion = np.zeros(a.shape + (4, 4), dtype=complex)
-    companion[..., 0, :] = np.stack(tail, axis=-1) / ac[..., None]
-    companion[..., 1, 0] = companion[..., 2, 1] = companion[..., 3, 2] = 1.0
-    roots = np.linalg.eigvals(companion)
+    coeffs = (-ac, 1 + 2 * ac * b - bc**2, 2 * (bc - b) - ac * b**2 + a * bc**2, b**2 - 1 - 2 * a * bc, a)
+    roots = _companion_roots(np.stack(coeffs, axis=-1))
     i, j = np.triu_indices(4, 1)
     if np.any(np.abs(roots[..., i] - roots[..., j]) < _ROOT_SEP):
         raise BorderlineA(f"two roots of the atom equation lie within {_ROOT_SEP:g}")
@@ -166,6 +177,7 @@ def mass_points(a: complex, b: complex) -> list[MassPointHalfline]:
     Each root of the quartic inside the open arc is polished by three Newton
     steps on Im[(zeta(t) - b)^2/(zeta(t) - a)] along the arc.
     """
+    _check_disk(a, b)
     if a == 0:
         raise ZeroA("mass_points requires a != 0")
     roots, keep = _arc_roots(a, b)
@@ -198,6 +210,7 @@ def mass_point_count(a, b, grid: int | None = None):
     uniform points of the arc (scalars only): a sampling oracle that misses
     atoms closer together than one cell.
     """
+    _check_disk(a, b)
     if grid is not None:
         if a == 0:
             return 0
@@ -419,7 +432,7 @@ def _disk_roots(curve, a: complex) -> tuple[int, float]:
     first order; it is 0 at a cusp, where a double root of the cubic may sit
     off the circle by the square root of the rounding error.
     """
-    roots = np.roots(np.subtract(curve, (0.0, 0.0, 0.0, a)))
+    roots = _companion_roots(np.subtract(curve, (0.0, 0.0, 0.0, a)))
     gap = np.abs(np.polyval(curve, roots / np.abs(roots)) - a).min()
     return int(np.count_nonzero(np.abs(roots) < 1.0)), float(gap)
 
@@ -443,6 +456,7 @@ def classify_region(a: complex) -> RegionClassHalfline:
         points over the roots of the cubic: the class is discontinuous across
         the curve and is not decided numerically.
     """
+    _check_disk(a)
     if a == 0:
         raise ZeroA("classify_region requires a != 0")
     winding, dist = _disk_roots(_EPITROCHOID, a)
@@ -476,62 +490,22 @@ def classify_region(a: complex) -> RegionClassHalfline:
 def epicycloid_cusps() -> list[complex]:
     """Cusp points of the epicycloid: its values at the unimodular roots of
     the derivative of its polynomial in w = e^{it}."""
-    roots = np.roots(np.polyder(_EPICYCLOID))
+    roots = _companion_roots(np.polyder(_EPICYCLOID))
     return [complex(np.polyval(_EPICYCLOID, r)) for r in roots if abs(abs(r) - 1.0) < 1e-9]
 
 
 def epitrochoid_self_intersections() -> list[complex]:
-    """Self-intersection points of the epitrochoid.
+    """Transversal self-intersection points of the epitrochoid (w - w^3)/2,
+    w = e^{it}.
 
-    Candidate parameter pairs come from intersecting the coarse polyline
-    with itself; each is polished by a two-variable Newton iteration on
-    curve(t1) - curve(t2) = 0.  Tangential double points (singular Jacobian)
-    are discarded; transversal crossings are deduplicated.
+    curve(w1) = curve(w2) with w1 != w2 reduces to w1^2 + w1 w2 + w2^2 = 1.
+    On the unit circle this forces (w1 + w2, w1 w2) = (+-sqrt 2, 1), the
+    crossings at +-1/sqrt 2, or (0, -1), the tangential double point at the
+    origin.  Each pair is the root pair of w^2 - (w1 + w2) w + w1 w2; pairs
+    with parallel velocities (the tangential one) are dropped.
     """
-    n = 512
-    ts = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    pts = epitrochoid(ts)
-    seg_a = pts
-    seg_b = np.roll(pts, -1)
-    found: list[complex] = []
-    for i in range(n):
-        for j in range(i + 2, n):
-            if i == 0 and j == n - 1:
-                continue
-            p, r = seg_a[i], seg_b[i] - seg_a[i]
-            q, s = seg_a[j], seg_b[j] - seg_a[j]
-            denom = (r.conjugate() * s).imag
-            if abs(denom) < 1e-12:
-                continue
-            d = q - p
-            t_par = (d.conjugate() * s).imag / denom
-            u_par = (d.conjugate() * r).imag / denom
-            if not (0.0 <= t_par <= 1.0 and 0.0 <= u_par <= 1.0):
-                continue
-            t1, t2 = ts[i] + t_par * (2 * math.pi / n), ts[j] + u_par * (2 * math.pi / n)
-            root = _newton_pair(t1, t2)
-            if root is None:
-                continue
-            point = complex(epitrochoid(root[0]))
-            if all(abs(point - other) > 1e-6 for other in found):
-                found.append(point)
-    return found
-
-
-def _newton_pair(t1: float, t2: float) -> tuple[float, float] | None:
-    for _ in range(60):
-        f = epitrochoid(t1) - epitrochoid(t2)
-        j11, j12 = epitrochoid_velocity(t1), -epitrochoid_velocity(t2)
-        det = j11.real * j12.imag - j11.imag * j12.real
-        if abs(det) < 1e-9:
-            return None
-        dt1 = (-f.real * j12.imag + f.imag * j12.real) / det
-        dt2 = (-j11.real * f.imag + j11.imag * f.real) / det
-        t1 += dt1
-        t2 += dt2
-        if abs(f) < 1e-13 and abs(dt1) + abs(dt2) < 1e-13:
-            gap = (t1 - t2) % (2 * math.pi)
-            if min(gap, 2 * math.pi - gap) < 1e-6:
-                return None
-            return t1, t2
-    return None
+    s2 = math.sqrt(2.0)
+    pairs = _companion_roots([[1.0, -s2, 1.0], [1.0, s2, 1.0], [1.0, 0.0, -1.0]])
+    v = epitrochoid_velocity(np.angle(pairs))
+    transversal = np.abs((v[:, 0].conjugate() * v[:, 1]).imag) >= 1e-9
+    return [complex(z) for z in np.polyval(_EPITROCHOID, pairs[transversal, 0])]

@@ -21,7 +21,7 @@ import numpy as np
 
 from .coins import Qubit
 from .errors import BoundaryZeta
-from .schur import g_line_boundary
+from .schur import _check_disk, g_line_boundary
 
 __all__ = [
     "MassPointLine",
@@ -36,7 +36,6 @@ __all__ = [
     "return_probability_limit",
     "imaginary_a_limit",
     "nonlocalized_qubit",
-    "max_return_scan",
     "state_function",
     "atom_weight",
     "residual",
@@ -132,6 +131,7 @@ def mass_point_count(a, b):
     Decides bit for bit as ``classify``: ``float_power`` is the libm pow of
     the scalar ``b.imag ** 2`` in ``zeta_pm``.
     """
+    _check_disk(a, b)
     a, b = np.broadcast_arrays(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
     zeta = np.empty(b.shape, dtype=complex)
     zeta.imag = b.imag
@@ -148,6 +148,7 @@ def classify(a: complex, b: complex, omega: complex = 1.0 + 0j) -> LineClass:
     ``a = 0`` short-circuits to M0 (diagonal constant coin, Bernstein-Szego
     measure).  The label does not depend on omega, nor on Re b.
     """
+    _check_disk(a, b)
     if a == 0:
         return LineClass("M0", ())
     zp, zm = zeta_pm(b)
@@ -250,30 +251,6 @@ def nonlocalized_qubit(
     denom = b.real + sign * math.sqrt(1.0 - b.imag**2)
     beta = omega * math.sqrt(1.0 - abs(b) ** 2) / denom
     return Qubit.normalized(1.0, beta)
-
-
-def max_return_scan(
-    b: complex, omega: complex, a_values
-) -> list[tuple[complex, str, int, float, float]]:
-    """Scan a-values: (a, label, n_mass_points, p at the balanced qubit, sup over qubits).
-
-    The supremum over qubits is the largest eigenvalue of the return form;
-    the reported lower bound is the value at the balanced qubit with
-    beta_hat = i omega alpha_hat, which makes the bracketed state terms
-    vanish.
-    """
-    balanced = Qubit(1.0 / math.sqrt(2.0), 1j * omega / math.sqrt(2.0))
-    rows = []
-    for a in np.asarray(a_values, dtype=complex).ravel():
-        cls = classify(a, b, omega)
-        if cls.label == "M0":
-            rows.append((complex(a), cls.label, 0, 0.0, 0.0))
-            continue
-        form = return_form(a, b, omega)
-        sup = float(np.linalg.eigvalsh(form)[-1])
-        lower = return_probability_limit(a, b, omega, balanced)
-        rows.append((complex(a), cls.label, cls.n_mass_points, lower, sup))
-    return rows
 
 
 def state_function(

@@ -180,13 +180,20 @@ def h_halfline_boundary(a: complex, b: complex, theta) -> complex | np.ndarray:
     return val if val.ndim else complex(val)
 
 
+def _check_disk(*params):
+    """Raise ParameterOutOfDisk unless every parameter, scalar or array,
+    lies strictly inside the unit disk.  Fails closed: nan compares false."""
+    for p in params:
+        if not (abs(p) < 1.0 if np.isscalar(p) else np.all(np.abs(p) < 1.0)):
+            raise ParameterOutOfDisk("parameters must lie strictly inside the unit disk")
+
+
 def schur_step(f, alpha: complex):
     """One forward step of the Schur algorithm on a callable.
 
     Returns the callable z -> (f(z) - alpha) / (z (1 - conj(alpha) f(z))).
     """
-    if abs(alpha) >= 1.0:
-        raise ParameterOutOfDisk(f"|alpha| = {abs(alpha)} >= 1")
+    _check_disk(alpha)
 
     def stepped(z):
         fz = f(z)
@@ -197,8 +204,7 @@ def schur_step(f, alpha: complex):
 
 def schur_inverse_step(f, alpha: complex):
     """Inverse Schur step: z -> (z f(z) + alpha) / (1 + conj(alpha) z f(z))."""
-    if abs(alpha) >= 1.0:
-        raise ParameterOutOfDisk(f"|alpha| = {abs(alpha)} >= 1")
+    _check_disk(alpha)
 
     def unstepped(z):
         zf = np.asarray(z, dtype=complex) * f(z)
@@ -214,10 +220,10 @@ def _gamma_mask(a: complex, theta: np.ndarray) -> np.ndarray:
     return np.sin(theta) ** 2 < abs(a) ** 2
 
 
-def _check_branch(a: complex, theta: np.ndarray):
-    gap = np.abs(np.abs(np.sin(theta)) - abs(a))
-    if np.any(gap <= _BRANCH_TOL):
-        raise BranchPoint("theta too close to a branch point of the weight")
+def _branch_mask(a: complex, theta: np.ndarray) -> np.ndarray:
+    """Where theta lies within 1e-12 of a branch point, |sin theta| = |a|:
+    the weight is refused there (``BranchPoint``, or ``nan`` rows in the CLI)."""
+    return np.abs(np.abs(np.sin(theta)) - abs(a)) <= _BRANCH_TOL
 
 
 def _one_minus_sq_fa(a: complex, theta: np.ndarray) -> np.ndarray:
@@ -243,8 +249,8 @@ def weight_halfline(
     (integrable) endpoints.
     """
     theta_arr = np.atleast_1d(np.asarray(theta, dtype=float))
-    if check_branch:
-        _check_branch(a, theta_arr)
+    if check_branch and np.any(_branch_mask(a, theta_arr)):
+        raise BranchPoint("theta too close to a branch point of the weight")
     out = np.zeros(theta_arr.shape)
     ac = ~_gamma_mask(a, theta_arr)
     if np.any(ac):
@@ -269,8 +275,8 @@ def weight_line(
     Output shape is theta.shape + (2, 2).
     """
     theta_arr = np.atleast_1d(np.asarray(theta, dtype=float))
-    if check_branch:
-        _check_branch(a, theta_arr)
+    if check_branch and np.any(_branch_mask(a, theta_arr)):
+        raise BranchPoint("theta too close to a branch point of the weight")
     out = np.zeros(theta_arr.shape + (2, 2), dtype=complex)
     ac = ~_gamma_mask(a, theta_arr)
     if np.any(ac):

@@ -327,6 +327,32 @@ class TestWeight:
         assert "DiagonalCoin" in err and err == capsys.readouterr().err
 
 
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} reached past a size cap")
+
+
+class TestSizeCaps:
+    @pytest.mark.parametrize(
+        "argv, cap",
+        [
+            (["region", "--lattice", "line", "--b", "0.2,0", "--grid"], "MAX_GRID"),
+            (["region", "--lattice", "halfline", "--a", "0.4,0.3", "--grid"], "MAX_GRID"),
+            (["curves", "--a", "0.45,0.3", "--samples"], "MAX_SAMPLES"),
+            (["weight", "--lattice", "halfline", "--a", "0,0.7", "--b", "0.2,0", "--theta-grid"], "MAX_THETA_GRID"),
+            (["weight", "--lattice", "line", "--a", "0,0.7", "--b", "0.2,0", "--theta-grid"], "MAX_THETA_GRID"),
+        ],
+    )
+    def test_refused_before_allocating(self, tmp_path, capsys, monkeypatch, argv, cap):
+        import defectwalk.cli
+
+        # numpy is out of reach in the CLI, so a missing cap fails at once
+        monkeypatch.setattr(defectwalk.cli, "np", _NoNumpy())
+        code, text = run_cli(tmp_path, *argv, str(getattr(defectwalk.cli, cap) + 1))
+        assert code == 1 and text == ""
+        assert "TooLarge" in capsys.readouterr().err
+
+
 class TestVerify:
     @pytest.mark.parametrize("suite", ["wiener", "kmcg", "brute"])
     def test_suites_pass(self, tmp_path, suite):

@@ -8,7 +8,7 @@ from helpers import random_disk, random_qubit
 from defectwalk import halfline as hl
 from defectwalk.cmv import return_probability_series
 from defectwalk.coins import Qubit, hat_qubit, spec_for_halfline_params
-from defectwalk.errors import BorderlineA, BoundaryZeta, CuspParameter, ZeroA
+from defectwalk.errors import BorderlineA, BoundaryZeta, CuspParameter, ParameterOutOfDisk, ZeroA
 from defectwalk.schur import arc_nodes, support_arcs, weight_halfline
 
 S2 = math.sqrt(2.0)
@@ -369,10 +369,66 @@ class TestCurves:
         assert abs(pts[0] + 1 / S2) <= 1e-9
         assert abs(pts[1] - 1 / S2) <= 1e-9
 
+    def test_self_intersections_match_polyline_oracle(self):
+        # an independent numeric oracle: intersect the 512-point polyline
+        # with itself, all pairs of non-adjacent segments at once
+        n = 512
+        p = hl.epitrochoid(np.linspace(0.0, 2 * math.pi, n, endpoint=False))
+        r = np.roll(p, -1) - p
+        i, j = np.triu_indices(n, 2)
+        i, j = i[j - i < n - 1], j[j - i < n - 1]  # segments n-1 and 0 share a vertex
+        d, den = p[j] - p[i], (r[i].conj() * r[j]).imag
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s, u = (d.conj() * r[j]).imag / den, (d.conj() * r[i]).imag / den
+        hit = (den != 0) & (s >= 0) & (s <= 1) & (u >= 0) & (u <= 1)
+        crossings = sorted(p[i[hit]] + s[hit] * r[i[hit]], key=lambda z: z.real)
+        assert len(crossings) == 2  # the tangential point at 0 is not crossed
+        sines = np.abs(den[hit]) / (np.abs(r[i[hit]]) * np.abs(r[j[hit]]))
+        assert np.all(sines > 0.5)
+        exact = sorted(hl.epitrochoid_self_intersections(), key=lambda z: z.real)
+        for z, target, oracle in zip(exact, (-1 / S2, 1 / S2), crossings):
+            assert abs(oracle - target) <= 1e-3 and abs(oracle - z) <= 1e-3
+
     def test_curves_inscribed_in_disk(self):
         ts = np.linspace(0, 2 * math.pi, 400)
         assert np.abs(hl.epicycloid(ts)).max() <= 1.0 + 1e-12
         assert np.abs(hl.epitrochoid(ts)).max() <= 1.0 + 1e-12
+
+
+class TestCompanionRoots:
+    @pytest.mark.parametrize("degree", [3, 4])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_bitwise_equal_to_np_roots(self, degree, dtype):
+        rng = np.random.default_rng(1000 * degree + (dtype is complex))
+        coeffs = rng.normal(size=(200, degree + 1))
+        if dtype is complex:
+            coeffs = coeffs + 1j * rng.normal(size=coeffs.shape)
+        roots = hl._companion_roots(coeffs)
+        assert roots.shape == (200, degree)
+        for row, p in zip(roots, coeffs):
+            # bytes, so that the signs of zero count too
+            assert row.tobytes() == np.roots(p).astype(complex).tobytes()
+
+
+class TestOutOfDisk:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: hl.mass_points(0.5, 1.5),
+            lambda: hl.mass_points(1.2, 0.1),
+            lambda: hl.mass_points(0.5, complex(math.nan, 0.0)),
+            lambda: hl.classify_region(1.2),
+            lambda: hl.classify_region(math.nan),
+            lambda: hl.classify_region(complex(0.3, math.inf)),
+            lambda: hl.mass_point_count(1.2, 0.1),
+            lambda: hl.mass_point_count([0.5, 0.3], [0.1, math.nan]),
+            lambda: hl.mass_point_count(0.5, 1.5, grid=64),
+            lambda: hl.mass_point_count(math.nan, 0.1, grid=64),
+        ],
+    )
+    def test_refused(self, call):
+        with pytest.raises(ParameterOutOfDisk):
+            call()
 
 
 class TestSRegion:

@@ -6,8 +6,8 @@ from helpers import random_disk, random_qubit
 
 from defectwalk import line
 from defectwalk.cmv import min_dimension, return_probability_series
-from defectwalk.coins import hat_qubit, spec_for_line_params
-from defectwalk.errors import BoundaryZeta
+from defectwalk.coins import Qubit, hat_qubit, spec_for_line_params
+from defectwalk.errors import BoundaryZeta, ParameterOutOfDisk
 from defectwalk.schur import g_line
 
 S2 = math.sqrt(2.0)
@@ -251,22 +251,30 @@ class TestReturnProbability:
 
 
 class TestMaxReturnScan:
+    """The largest asymptotic return over qubits: the top eigenvalue of the
+    return form, against the value at the balanced qubit beta = i omega alpha."""
+
+    BALANCED = Qubit(1.0 / math.sqrt(2.0), 1j / math.sqrt(2.0))  # omega = 1
+
     def test_m0_rows_zero(self):
-        rows = line.max_return_scan(0.1j, 1.0, [0.05j])
-        assert rows[0][1] == "M0" and rows[0][4] == 0.0
+        a, b = 0.05j, 0.1j
+        assert line.classify(a, b).label == "M0"
+        assert np.array_equal(line.return_form(a, b), np.zeros((2, 2)))
+        assert line.return_probability_limit(a, b, 1.0, self.BALANCED) == 0.0
 
     def test_sup_tends_to_one_anti_diagonal_limit(self):
-        b = 0.2 + 0.1j
-        rows = line.max_return_scan(b, 1.0, [0.999 * np.exp(0.5j)])
-        assert rows[0][1] == "M4"
-        assert rows[0][4] > 0.99
-        assert rows[0][3] <= rows[0][4] + 1e-15
+        a, b = 0.999 * np.exp(0.5j), 0.2 + 0.1j
+        assert line.classify(a, b).label == "M4"
+        sup = float(np.linalg.eigvalsh(line.return_form(a, b))[-1])
+        assert sup > 0.99
+        assert line.return_probability_limit(a, b, 1.0, self.BALANCED) <= sup + 1e-15
 
     def test_imaginary_a_all_qubits_return(self, rng):
         # balanced lower bound coincides with the sup: the form is scalar
-        rows = line.max_return_scan(0.1 - 0.2j, 1.0, [0.9999j])
-        _, label, _, lower, sup = rows[0]
-        assert label == "M4"
+        a, b = 0.9999j, 0.1 - 0.2j
+        assert line.classify(a, b).label == "M4"
+        sup = float(np.linalg.eigvalsh(line.return_form(a, b))[-1])
+        lower = line.return_probability_limit(a, b, 1.0, self.BALANCED)
         assert sup > 0.99 and abs(lower - sup) <= 1e-9
 
     def test_sup_is_attained(self, rng):
@@ -278,6 +286,19 @@ class TestMaxReturnScan:
             best = max(best, line.return_probability_limit(a, b, omega, random_qubit(rng)))
         assert best <= sup + 1e-12
         assert best >= 0.9 * sup
+
+
+class TestOutOfDisk:
+    @pytest.mark.parametrize(
+        "a, b",
+        [(1.2, 0.1), (0.5, 1.5), (0.5, complex(math.nan, 0.0)), (complex(0.0, math.inf), 0.1), (1.0, 0.0)],
+    )
+    def test_refused(self, a, b):
+        # out of the disk classify found four atoms with masses up to 2.7
+        with pytest.raises(ParameterOutOfDisk):
+            line.classify(a, b)
+        with pytest.raises(ParameterOutOfDisk):
+            line.mass_point_count(np.array([0.3, a]), b)
 
 
 class TestBoundaryExclusion:

@@ -205,6 +205,30 @@ class TestWeights:
         with pytest.raises(BranchPoint):
             schur.weight_line(a, 0.1, 1.0, theta)
 
+    def test_one_call_matches_per_theta_calls(self, rng):
+        # the CLI's weight grid is one unchecked call plus the branch mask;
+        # the per-theta loop it replaced is the reference, bit for bit
+        for k in range(9):
+            n = int(rng.integers(8, 160))
+            thetas = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
+            a = rng.uniform(0.05, 0.95) * np.exp(2j * np.pi * rng.uniform())
+            if k % 3 == 0:  # put one grid theta exactly on a branch point
+                a = abs(math.sin(thetas[int(rng.integers(n))])) * a / abs(a)
+            b, omega = 0.9 * a.conjugate(), np.exp(2j * np.pi * rng.uniform())
+            mask = schur._branch_mask(a, thetas)
+            half = schur.weight_halfline(a, b, thetas, check_branch=False)
+            full = schur.weight_line(a, b, omega, thetas, check_branch=False)
+            assert mask.any() == (k % 3 == 0)
+            for t, branch, h, w in zip(thetas, mask, half, full):
+                if branch:
+                    with pytest.raises(BranchPoint):
+                        schur.weight_halfline(a, b, float(t))
+                    with pytest.raises(BranchPoint):
+                        schur.weight_line(a, b, omega, float(t))
+                else:
+                    assert h == schur.weight_halfline(a, b, float(t))
+                    assert np.array_equal(w, schur.weight_line(a, b, omega, float(t)))
+
     def test_positive_semidefinite(self, rng):
         for _ in range(20):
             a = rng.uniform(0.1, 0.9) * np.exp(2j * np.pi * rng.uniform())
