@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 numerical guard tripped, 2 flag validation error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -164,7 +165,7 @@ def _cmd_simulate(args) -> int:
             f"--dimension: below the required {min_dimension(args.steps, args.site)}"
         )
     series = return_probability_series(spec, args.site, q, args.steps, dim)
-    lines = ["n,p"] + [f"{n},{_fmt(p)}" for n, p in enumerate(series)]
+    lines = ["n,p"] + [f"{n},{_fmt(p)}" for n, p in enumerate(series.tolist())]
     _emit(args, "\n".join(lines) + "\n")
     return 0
 
@@ -347,9 +348,10 @@ def _cmd_region(args) -> int:
     a, b = (fixed, points[inside]) if has_a else (points[inside], fixed)
     counts[inside] = (ln if lattice is Lattice.LINE else hl).mass_point_count(a, b)
     header = ("b_re,b_im,n_mass_points" if has_a else "a_re,a_im,n_mass_points")
-    lines = [header]
-    for point, c in zip(points, counts):
-        lines.append(f"{_fmt(point.real)},{_fmt(point.imag)},{c}")
+    # rows run over (im, re) like points; each axis is formatted once
+    axis = [_fmt(x) for x in coords.tolist()]
+    rows = itertools.product(axis, repeat=2)
+    lines = [header] + [f"{re},{im},{c}" for (im, re), c in zip(rows, counts.tolist())]
     _emit(args, "\n".join(lines) + "\n")
     return 0
 

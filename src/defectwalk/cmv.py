@@ -32,9 +32,11 @@ state; with ``to_dense`` it is the evolution oracle.  The walk functions
 simulated moments of ``oracles``) instead step in natural site order, "coin,
 then shift", which is the two-factor block structure behind the CMV
 factorization, and touch only the sites inside the light cone of the start
-sites that can still reach an observed site.  Both put the state left of
-the coin in every product (numpy's fused complex multiply rounds ``x * c``
-and ``c * x`` apart) and add the same two products, so they agree bit for bit.
+sites that can still reach an observed site (one window per block of steps).
+A step is one multiply, one add and one slice copy.  Both put the state left
+of the coin in every product (numpy's fused complex multiply rounds ``x * c``
+and ``c * x`` apart) and add the same two products, so they agree bit for
+bit, up to the sign of an exact zero.
 
 Truncation: amplitudes are exact for the infinite system as long as the
 ballistic cone (one site per step) stays inside the matrix.  The enforced
@@ -55,6 +57,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .coins import Lattice, Qubit, WalkSpec
 from .errors import SizeTooSmall, TooLarge, TruncationTooSmall
@@ -82,6 +85,9 @@ __all__ = [
 MAX_STEPS = 100_000
 """Most steps a walk function takes; more raise ``TooLarge`` before any
 buffer is allocated."""
+
+# steps of ``_walk`` that share one window and one set of views
+_BLOCK = 64
 
 
 def index_of(lattice: Lattice, site: int, up: bool) -> int:
@@ -457,15 +463,17 @@ def _walk(
         up[x+1] = c11 up[x] + c12 dn[x]        dn[x-1] = c21 up[x] + c22 dn[x]
 
     with, on the half line, the down output of site 0 reflected into (0, up).
-    Step n covers only the sites in the forward light cone of the starts that
-    can still reach an observed site.  State and coin are stacked as
-    ``s[row, spin, batch]`` (spin 0 up) and ``coin[out, row, in]``, with the
-    defect matrix in the row of site 0, so a step is one multiply, one add per
-    spin and one gather; rows come first, so that a window of either is one
-    contiguous block per output spin.  The state is the left operand, as
-    ``psi`` is in ``BandedUnitary.step``: numpy's fused multiply-add rounds
-    ``x * c`` and ``c * x`` apart, and only this order equals the band bit for
-    bit.  More than ``MAX_STEPS`` steps raise ``TooLarge``.
+    Step n covers the sites in the forward light cone of the starts that can
+    still reach an observed site, widened to the union over its block of
+    ``_BLOCK`` steps, whose views are built once.  State and coin are stacked
+    as ``s[row, spin, batch]`` (spin 0 up) and ``coin[out, row, in]``, with the
+    defect matrix in the row of site 0, so a step is one multiply, one add into
+    a strided view of the next buffer (up outputs of row r land in r + 1, down
+    outputs in r - 1) and one slice copy of the rows of the observed sites.
+    The state is the left operand, as ``psi`` is in ``BandedUnitary.step``:
+    numpy's fused multiply-add rounds ``x * c`` and ``c * x`` apart, and only
+    this order equals the band bit for bit, up to the sign of an exact zero
+    outside the cone.  More than ``MAX_STEPS`` steps raise ``TooLarge``.
     """
     if steps > MAX_STEPS:
         raise TooLarge(f"walks are capped at {MAX_STEPS} steps, got {steps}")
@@ -483,7 +491,7 @@ def _walk(
     base = max(min(first - steps, seen_lo), floor) - 1
     rows = max(last + steps, seen_hi) + 2 - base
     batch = len(starts)
-    s, s_next = np.zeros((2, rows, 2, batch), dtype=complex)
+    bufs = np.zeros((2, rows, 2, batch), dtype=complex)
     prod = np.empty((2, rows, 2, batch), dtype=complex)
     coin = np.repeat(spec.coin.matrix[:, None, :, None], rows, axis=1)
     z = -base  # row of site 0
@@ -491,21 +499,35 @@ def _walk(
         coin[:, z, :, 0] = spec.defect.matrix
     for b, state in enumerate(starts):
         for (site, is_up), amp in state.items():
-            s[site - base, 0 if is_up else 1, b] = amp
+            bufs[0, site - base, 0 if is_up else 1, b] = amp
     row, spin = np.array([(site - base, 0 if is_up else 1) for site, is_up in observe]).T
-    out = np.empty((steps + 1, len(observe), batch), dtype=complex)
-    out[0] = s[row, spin]
-    for n in range(steps):
-        lo = max(first - n, seen_lo - (steps - n), floor) - base
-        hi = min(last + n, seen_hi + (steps - n)) + 1 - base
-        np.multiply(s[None, lo:hi], coin[:, lo:hi], out=prod[:, lo:hi])
-        np.add(prod[0, lo:hi, 0], prod[0, lo:hi, 1], out=s_next[lo + 1 : hi + 1, 0])
-        np.add(prod[1, lo:hi, 0], prod[1, lo:hi, 1], out=s_next[lo - 1 : hi - 1, 1])
-        if half and lo == z:  # lo >= 1, so z - 1 is a row
-            s_next[z, 0] = s_next[z - 1, 1]
-        s, s_next = s_next, s
-        out[n + 1] = s[row, spin]
-    return np.ascontiguousarray(out.transpose(0, 2, 1))
+    top, bottom = row.min(), row.max() + 1
+    box = np.empty((steps + 1, bottom - top, 2, batch), dtype=complex)
+    box[0] = bufs[0, top:bottom]
+    # the window [lo, hi) of every step, then its union over each block
+    n = np.arange(steps)
+    lows = np.maximum(np.maximum(first - n, seen_lo - steps + n), floor) - base
+    highs = np.minimum(last + n, seen_hi + steps - n) + 1 - base
+    firsts = range(0, steps, _BLOCK)
+    lows = np.minimum.reduceat(lows, firsts).astype(int)
+    highs = np.maximum(np.maximum.reduceat(highs, firsts), lows)
+    row_stride, spin_stride, _ = bufs.strides[1:]
+    strides = (spin_stride - 2 * row_stride, row_stride, bufs.itemsize)
+    for n0, lo, hi in zip(firsts, lows.tolist(), highs.tolist()):
+        views = []
+        for s, s_next in (bufs, bufs[::-1]):
+            shifted = as_strided(s_next[lo + 1 :], (2, hi - lo, batch), strides)
+            wall = (s_next[z, 0], s_next[z - 1, 1]) if half and lo == z else None
+            views.append((s[None, lo:hi], shifted, wall, s_next[top:bottom]))
+        c, p, p0, p1 = coin[:, lo:hi], prod[:, lo:hi], prod[:, lo:hi, 0], prod[:, lo:hi, 1]
+        for n in range(n0, min(n0 + _BLOCK, steps)):
+            x, shifted, wall, seen = views[n & 1]
+            np.multiply(x, c, out=p)
+            np.add(p0, p1, out=shifted)
+            if wall:  # lo >= 1, so z - 1 is a row
+                np.copyto(*wall)
+            box[n + 1] = seen
+    return np.ascontiguousarray(box[:, row - top, spin].transpose(0, 2, 1))
 
 
 def _require_dimension(lattice: Lattice, steps: int, site: int, dimension: int | None):

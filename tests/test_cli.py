@@ -7,7 +7,9 @@ import os
 import numpy as np
 import pytest
 
-from defectwalk.cli import main
+from defectwalk.cli import _parse_coin, _parse_qubit, main
+from defectwalk.cmv import return_probability_series
+from defectwalk.coins import Lattice, WalkSpec
 
 S2 = math.sqrt(2.0)
 H_FLAG = f"{1/S2},0,{1/S2},0,{1/S2},0,{-1/S2},0"
@@ -35,6 +37,17 @@ class TestSimulate:
         assert len(rows) == 25
         assert rows[0]["p"] == "1"
         assert float(rows[13]["p"]) == 0.0  # odd step on the line
+
+    def test_rows_match_per_point_formatting(self, tmp_path):
+        args = [
+            "simulate", "--lattice", "halfline", "--coin", H_FLAG, "--defect", KONNO_PI_FLAG,
+            "--steps", "40", "--qubit", "0.6,0,0,0.8",
+        ]
+        code, text = run_cli(tmp_path, *args)
+        assert code == 0
+        spec = WalkSpec(Lattice.HALF_LINE, _parse_coin("", H_FLAG), _parse_coin("", KONNO_PI_FLAG))
+        series = return_probability_series(spec, 0, _parse_qubit("", "0.6,0,0,0.8"), 40)
+        assert text.splitlines() == ["n,p"] + [f"{n},{format(float(p), '.12g')}" for n, p in enumerate(series)]
 
     def test_step_cap(self, tmp_path, capsys, monkeypatch):
         import defectwalk.cmv
@@ -259,6 +272,23 @@ class TestRegion:
                 "--a", "0.1,0", "--b", "0.1,0", "--grid", "8",
             )
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("lattice, fixed", [("line", "--b=0.2,0.1"), ("halfline", "--a=0.4,0.3")])
+    def test_rows_match_per_point_formatting(self, tmp_path, lattice, fixed):
+        # --grid 9 puts a coordinate exactly at 0.0; each row is formatted
+        # here point by point, as numpy scalars, in (im, re) order
+        code, text = run_cli(tmp_path, "region", "--lattice", lattice, fixed, "--grid", "9")
+        assert code == 0
+        rows = text.splitlines()[1:]
+        coords = np.array([-1.0 + (2 * i + 1) / 9 for i in range(9)])
+        points = np.array([complex(re, im) for im in coords for re in coords])
+        counts = [row.rsplit(",", 1)[1] for row in rows]
+        expected = [
+            f"{format(float(p.real), '.12g')},{format(float(p.imag), '.12g')},{c}"
+            for p, c in zip(points, counts)
+        ]
+        assert rows == expected
+        assert rows[40].startswith("0,0,")
 
 
 class TestCurves:

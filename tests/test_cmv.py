@@ -328,6 +328,58 @@ class TestKernelMatchesBand:
                     assert np.array_equal(out, x[:, None] * coin.matrix[:, 0 if is_up else 1])
 
 
+def _band_amplitudes(spec, starts, observe, steps):
+    """The band's amplitudes at ``observe``, in ``_walk``'s layout."""
+    reach = max(abs(site) for state in starts + [dict.fromkeys(observe)] for site, _ in state)
+    dim = default_dimension(spec.lattice, steps, reach)
+    taps = [index_of(spec.lattice, site, up) for site, up in observe]
+    rows = []
+    for state in starts:
+        psi0 = np.zeros(dim, dtype=complex)
+        for (site, up), amp in state.items():
+            psi0[index_of(spec.lattice, site, up)] = amp
+        rows.append([psi[taps] for psi in band_states(spec, psi0, steps, dim)])
+    return np.array(rows).transpose(1, 0, 2)
+
+
+class TestBlockedWindows:
+    """Steps go in blocks that share one window (the union of the steps'
+    cones); any block size, a wall entering mid-block and a window that holds
+    no reachable site must all give the band's amplitudes."""
+
+    @pytest.mark.parametrize("block", [1, 3, 64, 1000])
+    def test_block_sizes(self, rng, monkeypatch, block):
+        monkeypatch.setattr(cmv, "_BLOCK", block)
+        observe = [(site, up) for site in (0, 3, 5) for up in (True, False)]
+        for lattice in Lattice:
+            spec, q = random_spec(rng, lattice), random_qubit(rng)
+            starts = [{(3, True): q.alpha, (3, False): q.beta}, {(0, False): 1.0}]
+            for steps in (0, 63, 64, 65, 129):
+                band = _band_amplitudes(spec, starts, observe, steps)
+                assert np.array_equal(_walk(spec, starts, observe, steps), band)
+
+    def test_wall_enters_mid_block(self, rng):
+        # from site s the cone reaches the wall at step s, inside a block
+        spec, q = random_spec(rng, Lattice.HALF_LINE), random_qubit(rng)
+        for site in range(5, 71):
+            starts = [{(site, True): q.alpha, (site, False): q.beta}]
+            observe = [(site, True), (site, False), (0, True)]
+            band = _band_amplitudes(spec, starts, observe, 150)
+            assert np.array_equal(_walk(spec, starts, observe, 150), band)
+
+    def test_unreachable_observer(self, rng):
+        # 10 or 30 steps from site 40 never reach site 0, so every step's
+        # window is empty (after 10 steps even their union is); 50 steps
+        # reach it from step 40 on
+        for lattice in Lattice:
+            spec = random_spec(rng, lattice)
+            starts, observe = [{(40, True): 1.0}], [(0, True), (0, False)]
+            for steps in (10, 30, 50):
+                got = _walk(spec, starts, observe, steps)
+                assert np.array_equal(got, _band_amplitudes(spec, starts, observe, steps))
+            assert not got[:40].any() and got[40:].any()
+
+
 class _NoNumpy:
     def __getattr__(self, name):
         raise AssertionError(f"np.{name} reached past the step cap")
