@@ -112,25 +112,29 @@ def _emit(args, text: str):
 def _resolve_params(args):
     """(a, b, omega, vartheta, spec-or-None) from either coins or raw values."""
     has_coins = args.coin is not None or args.defect is not None
-    has_raw = getattr(args, "a", None) is not None or getattr(args, "b", None) is not None
+    has_raw = args.a is not None or args.b is not None
     if has_coins and has_raw:
         raise _fail_usage("--coin/--defect and --a/--b are mutually exclusive")
     lattice = Lattice.parse(args.lattice)
     if has_coins:
         if args.coin is None or args.defect is None:
             raise _fail_usage("--coin and --defect must be given together")
+        if args.omega is not None:
+            raise _fail_usage("--omega: the coins fix omega; give it only with --a/--b")
         spec = WalkSpec(lattice, _parse_coin("--coin", args.coin), _parse_coin("--defect", args.defect))
         p = defect_params(spec)
         return p.a, p.b, p.omega, p.vartheta, spec
-    if getattr(args, "a", None) is None or getattr(args, "b", None) is None:
+    if args.a is None or args.b is None:
         raise _fail_usage("give either --coin/--defect or --a/--b")
     a = _parse_complex("--a", args.a)
     b = _parse_complex("--b", args.b)
-    omega = _parse_complex("--omega", args.omega) if getattr(args, "omega", None) else 1.0 + 0j
+    omega = _parse_complex("--omega", args.omega) if args.omega else 1.0 + 0j
     if abs(a) >= 1 or abs(b) >= 1:
         raise _fail_usage("--a/--b: parameters must lie in the open unit disk")
     if abs(abs(omega) - 1) > 1e-9:
         raise _fail_usage("--omega: must be unimodular")
+    if args.omega is not None and lattice is Lattice.HALF_LINE:
+        raise _fail_usage("--omega: line only")
     return a, b, omega, 0.0, None
 
 
@@ -159,7 +163,7 @@ def _cmd_simulate(args) -> int:
         raise _fail_usage("--steps: must be >= 0")
     if lattice is Lattice.HALF_LINE and args.site < 0:
         raise _fail_usage("--site: half-line sites are nonnegative")
-    dim = args.dimension or default_dimension(lattice, args.steps, args.site)
+    dim = default_dimension(lattice, args.steps, args.site) if args.dimension is None else args.dimension
     if dim < min_dimension(args.steps, args.site):
         raise _fail_usage(
             f"--dimension: below the required {min_dimension(args.steps, args.site)}"
@@ -186,27 +190,24 @@ def _classification_payload(args):
     return lattice, (a, b, omega), (qubit, hatted)
 
 
-def _cmd_classify(args) -> int:
-    lattice, params, qubits = _classification_payload(args)
-    if params is None:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "lattice": lattice.value,
-            "label": "M0" if lattice is Lattice.LINE else "L-undefined",
-            "no_localization": True,
-            "reason": "diagonal constant coin (Bernstein-Szego measure)",
-            "mass_points": [],
-        }
+def _qubit_row(q: Qubit) -> list[float]:
+    return [q.alpha.real, q.alpha.imag, q.beta.real, q.beta.imag]
+
+
+def _json_command(fields, unlocalized):
+    """A command that prints one JSON document: ``fields(lattice, a, b, omega,
+    qubit, hatted)`` gives its own keys, or ``unlocalized(lattice)`` when
+    :func:`_classification_payload` finds no localization; the frame adds
+    ``schema_version`` and ``lattice``."""
+
+    def command(args) -> int:
+        lattice, params, qubits = _classification_payload(args)
+        doc = unlocalized(lattice) if params is None else fields(lattice, *params, *qubits)
+        doc.update(schema_version=SCHEMA_VERSION, lattice=lattice.value)
         _emit(args, json.dumps(doc, indent=2, sort_keys=True) + "\n")
         return 0
-    a, b, omega = params
-    qubit, hatted = qubits
-    if lattice is Lattice.LINE:
-        doc = _classify_line_doc(a, b, omega, qubit, hatted)
-    else:
-        doc = _classify_halfline_doc(a, b, qubit, hatted)
-    _emit(args, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return 0
+
+    return command
 
 
 def _line_rows(points) -> list[dict]:
@@ -228,7 +229,18 @@ def _halfline_rows(points) -> list[dict]:
     ]
 
 
-def _classify_line_doc(a, b, omega, qubit, hatted):
+def _classify_fields(lattice, a, b, omega, qubit, hatted):
+    if lattice is Lattice.HALF_LINE:
+        region = hl.classify_region(a)
+        points = hl.mass_points(a, b)
+        nq = hl._nonlocalized(b, points)
+        return {
+            "l_label": region.l_label,
+            "tangent_profile": region.tangent_profile,
+            "mass_points": _halfline_rows(points),
+            "p_cesaro": hl._asymptotics(b, points, hatted).cesaro,
+            "nonlocalized_qubit": None if nq is None else _qubit_row(nq),
+        }
     cls = ln.classify(a, b, omega)
     state_independent = abs(a.real) < 1e-12
     p_limit: dict = {"state_independent": state_independent}
@@ -236,16 +248,11 @@ def _classify_line_doc(a, b, omega, qubit, hatted):
         p_limit["value"] = ln.imaginary_a_limit(a, b) if cls.label != "M0" else 0.0
     else:
         p_limit["value"] = ln.return_probability_limit(a, b, omega, hatted)
-        p_limit["qubit"] = [
-            qubit.alpha.real, qubit.alpha.imag, qubit.beta.real, qubit.beta.imag,
-        ]
+        p_limit["qubit"] = _qubit_row(qubit)
     nlq = None
     if cls.label in ("M2plus", "M2minus"):
-        nq = ln.nonlocalized_qubit(a, b, omega, cls.label)
-        nlq = [nq.alpha.real, nq.alpha.imag, nq.beta.real, nq.beta.imag]
+        nlq = _qubit_row(ln.nonlocalized_qubit(a, b, omega, cls.label))
     return {
-        "schema_version": SCHEMA_VERSION,
-        "lattice": "line",
         "label": cls.label,
         "mass_points": _line_rows(cls.points),
         "p_limit": p_limit,
@@ -253,75 +260,43 @@ def _classify_line_doc(a, b, omega, qubit, hatted):
     }
 
 
-def _classify_halfline_doc(a, b, qubit, hatted):
-    region = hl.classify_region(a)
-    points = hl.mass_points(a, b)
-    nq = hl._nonlocalized(b, points)
-    nlq = None if nq is None else [nq.alpha.real, nq.alpha.imag, nq.beta.real, nq.beta.imag]
+def _masses_fields(lattice, a, b, omega, qubit, hatted):
+    if lattice is Lattice.LINE:
+        return {"mass_points": _line_rows(ln.classify(a, b, omega).points)}
+    return {"mass_points": _halfline_rows(hl.mass_points(a, b))}
+
+
+def _return_prob_fields(lattice, a, b, omega, qubit, hatted):
+    if lattice is Lattice.LINE:
+        return {
+            "p_limit": ln.return_probability_limit(a, b, omega, hatted),
+            "label": ln.classify(a, b).label,
+            "qubit": _qubit_row(qubit),
+            "state_independent": abs(a.real) < 1e-12,
+        }
+    asym = hl.return_asymptotics(a, b, hatted)
     return {
-        "schema_version": SCHEMA_VERSION,
-        "lattice": "halfline",
-        "l_label": region.l_label,
-        "tangent_profile": region.tangent_profile,
-        "mass_points": _halfline_rows(points),
-        "p_cesaro": hl._asymptotics(b, points, hatted).cesaro,
-        "nonlocalized_qubit": nlq,
+        "n_mass_points": len(asym.zs),
+        "qubit": _qubit_row(qubit),
+        "p_cesaro": asym.cesaro,
+        "p_limit": asym.limit,
     }
 
 
-def _cmd_masses(args) -> int:
-    lattice, params, _ = _classification_payload(args)
-    if params is None:
-        doc = {"schema_version": SCHEMA_VERSION, "lattice": lattice.value, "mass_points": []}
-        _emit(args, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        return 0
-    a, b, omega = params
-    if lattice is Lattice.LINE:
-        pts = _line_rows(ln.classify(a, b, omega).points)
-    else:
-        pts = _halfline_rows(hl.mass_points(a, b))
-    doc = {"schema_version": SCHEMA_VERSION, "lattice": lattice.value, "mass_points": pts}
-    _emit(args, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return 0
-
-
-def _cmd_return_prob(args) -> int:
-    lattice, params, qubits = _classification_payload(args)
-    if params is None:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "lattice": lattice.value,
-            "p_limit": 0.0,
-            "state_independent": True,
-            "no_localization": True,
-        }
-        _emit(args, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        return 0
-    a, b, omega = params
-    qubit, hatted = qubits
-    if lattice is Lattice.LINE:
-        state_independent = abs(a.real) < 1e-12
-        value = ln.return_probability_limit(a, b, omega, hatted)
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "lattice": "line",
-            "label": ln.classify(a, b).label,
-            "qubit": [qubit.alpha.real, qubit.alpha.imag, qubit.beta.real, qubit.beta.imag],
-            "p_limit": value,
-            "state_independent": state_independent,
-        }
-    else:
-        asym = hl.return_asymptotics(a, b, hatted)
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "lattice": "halfline",
-            "n_mass_points": len(asym.zs),
-            "qubit": [qubit.alpha.real, qubit.alpha.imag, qubit.beta.real, qubit.beta.imag],
-            "p_cesaro": asym.cesaro,
-            "p_limit": asym.limit,
-        }
-    _emit(args, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return 0
+_cmd_classify = _json_command(
+    _classify_fields,
+    lambda lattice: {
+        "label": "M0" if lattice is Lattice.LINE else "L-undefined",
+        "no_localization": True,
+        "reason": "diagonal constant coin (Bernstein-Szego measure)",
+        "mass_points": [],
+    },
+)
+_cmd_masses = _json_command(_masses_fields, lambda lattice: {"mass_points": []})
+_cmd_return_prob = _json_command(
+    _return_prob_fields,
+    lambda lattice: {"p_limit": 0.0, "state_independent": True, "no_localization": True},
+)
 
 
 def _grid_coords(n: int) -> np.ndarray:
@@ -516,7 +491,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_return_prob)
 
     p = sub.add_parser("region", help="mass-point counts over a parameter grid (CSV)")
-    _add_coin_opts(p)
+    p.add_argument("--lattice", required=True, choices=["line", "halfline"])
+    p.add_argument("--a", help="fixed a as re,im: scan the b-plane")
+    p.add_argument("--b", help="fixed b as re,im: scan the a-plane")
     p.add_argument("--grid", type=int, required=True)
     p.add_argument("--output")
     p.set_defaults(func=_cmd_region)

@@ -288,36 +288,19 @@ def verblunsky_line(spec: WalkSpec, k):
     return np.where(k == 0, d.c21.conjugate(), tail)[()]
 
 
-def _coin_band_halfline(spec: WalkSpec, size: int) -> _BandBuilder:
-    bb = _BandBuilder(size, 2)
-    d = spec.defect
-    bb.set(0, 0, d.c21)
-    bb.set(0, 2, d.c11)
-    bb.set(1, 0, d.c22)
-    bb.set(1, 2, d.c12)
-    c = spec.coin
-    for k in range(1, (size + 1) // 2):
-        bb.set(2 * k, 2 * k - 1, c.c21)
-        bb.set(2 * k, 2 * k + 2, c.c11)
-        bb.set(2 * k + 1, 2 * k - 1, c.c22)
-        bb.set(2 * k + 1, 2 * k + 2, c.c12)
-    return bb
-
-
-def _coin_band_line(spec: WalkSpec, size: int) -> _BandBuilder:
-    bb = _BandBuilder(size, 4)
+def _coin_band(spec: WalkSpec, size: int) -> _BandBuilder:
+    """U from the coin action: ``up[x+1] = c11 up[x] + c12 dn[x]``,
+    ``dn[x-1] = c21 up[x] + c22 dn[x]``, with the defect coin at site 0 and,
+    on the half line, site 0's down output reflected into (0, up)."""
     lat = spec.lattice
+    half = lat is Lattice.HALF_LINE
+    bb = _BandBuilder(size, 2 if half else 4)
     for i in range(size):
         site, up = site_of_index(lat, i)
-        coin = spec.defect if site == 0 else spec.coin
-        up_target = index_of(lat, site + 1, True)
-        dn_target = index_of(lat, site - 1, False)
-        if up:
-            bb.set(i, up_target, coin.c11)
-            bb.set(i, dn_target, coin.c21)
-        else:
-            bb.set(i, up_target, coin.c12)
-            bb.set(i, dn_target, coin.c22)
+        c = spec.defect if site == 0 else spec.coin
+        dn_target = 0 if half and site == 0 else index_of(lat, site - 1, False)
+        bb.set(i, index_of(lat, site + 1, True), c.c11 if up else c.c12)
+        bb.set(i, dn_target, c.c21 if up else c.c22)
     return bb
 
 
@@ -392,14 +375,10 @@ def build_transition(spec: WalkSpec, size: int, check: bool = True) -> BandedUni
     """
     if size < 4 or size % 2:
         raise SizeTooSmall("size must be even and >= 4")
-    if spec.lattice is Lattice.HALF_LINE:
-        direct = _coin_band_halfline(spec, size)
-        factored = _cmv_band_halfline(spec, size) if check else None
-    else:
-        direct = _coin_band_line(spec, size)
-        factored = _cmv_band_line(spec, size) if check else None
-    if factored is not None:
-        gap = np.abs(direct.band - factored.band).max()
+    direct = _coin_band(spec, size)
+    if check:
+        factor = _cmv_band_halfline if spec.lattice is Lattice.HALF_LINE else _cmv_band_line
+        gap = np.abs(direct.band - factor(spec, size).band).max()
         if gap > 1e-12:
             raise AssertionError(
                 f"coin-action and CMV constructions disagree by {gap:.3e}"
@@ -535,7 +514,7 @@ def _require_dimension(lattice: Lattice, steps: int, site: int, dimension: int |
 
     The kernel needs no truncation, but a requested one is still validated.
     """
-    dim = dimension or default_dimension(lattice, steps, site)
+    dim = default_dimension(lattice, steps, site) if dimension is None else dimension
     need = min_dimension(steps, site)
     if dim < need:
         raise TruncationTooSmall(f"dimension {dim} < required {need}")

@@ -108,21 +108,14 @@ class Coin:
         return f"Coin({self.matrix.tolist()!r})"
 
 
-def validate_coin(m, tol: float = UNITARY_TOL) -> Coin:
-    """Validate a 2x2 array as an irreducible coin.
-
-    Parameters
-    ----------
-    m : array_like
-        2x2 complex matrix.
-    tol : float
-        Maximum allowed deviation of ``m m^dagger`` from the identity.
+def validate_coin(m) -> Coin:
+    """Validate a 2x2 complex array as an irreducible coin.
 
     Raises
     ------
     NotUnitary
-        If an entry is not finite or the matrix deviates from unitarity by
-        more than ``tol``.
+        If an entry is not finite or ``m m^dagger`` deviates from the identity
+        by more than ``UNITARY_TOL``.
     ReducibleCoin
         If a diagonal entry vanishes (the walk would decouple).
     """
@@ -132,8 +125,8 @@ def validate_coin(m, tol: float = UNITARY_TOL) -> Coin:
     if not np.isfinite(arr).all():
         raise NotUnitary("coin entries must be finite")
     defect = np.abs(arr @ arr.conj().T - np.eye(2)).max()
-    if defect > tol:
-        raise NotUnitary(f"unitarity defect {defect:.3e} exceeds {tol:.1e}")
+    if defect > UNITARY_TOL:
+        raise NotUnitary(f"unitarity defect {defect:.3e} exceeds {UNITARY_TOL:.1e}")
     if arr[0, 0] == 0 or arr[1, 1] == 0:
         raise ReducibleCoin("coin has a zero diagonal entry")
     arr = arr.copy()
@@ -290,12 +283,9 @@ def hat_qubit(q: Qubit, site: int, spec: WalkSpec) -> Qubit:
     """
     c, d = spec.coin, spec.defect
     half = (c.sigma2 - c.sigma1) / 2.0
-    if spec.lattice is Lattice.HALF_LINE:
-        if site < 0:
-            raise ValueError("half-line sites are nonnegative")
-        pa = 1.0 if site == 0 else cmath.exp(1j * (site * half + c.sigma1 - d.sigma1))
-        pb = cmath.exp(1j * ((site + 1) * half + d.sigma2 - c.sigma2))
-    elif site >= 0:
+    if spec.lattice is Lattice.HALF_LINE and site < 0:
+        raise ValueError("half-line sites are nonnegative")
+    if site >= 0:
         pa = 1.0 if site == 0 else cmath.exp(1j * (site * half + c.sigma1 - d.sigma1))
         pb = cmath.exp(1j * ((site + 1) * half + d.sigma2 - c.sigma2))
     else:

@@ -55,7 +55,6 @@ __all__ = [
     "limit_lines",
     "classify_region",
     "epicycloid",
-    "epicycloid_velocity",
     "epitrochoid",
     "epitrochoid_velocity",
     "epicycloid_cusps",
@@ -391,12 +390,6 @@ def epicycloid(t) -> complex | np.ndarray:
     """(3/4) e^{it} - (1/4) e^{3it}: two cusps, at +-1/2."""
     t = np.asarray(t, dtype=float)
     val = 0.75 * np.exp(1j * t) - 0.25 * np.exp(3j * t)
-    return val if val.ndim else complex(val)
-
-
-def epicycloid_velocity(t) -> complex | np.ndarray:
-    t = np.asarray(t, dtype=float)
-    val = 0.75j * np.exp(1j * t) - 0.75j * np.exp(3j * t)
     return val if val.ndim else complex(val)
 
 

@@ -36,6 +36,9 @@ __all__ = [
     "brute_force_return",
 ]
 
+# largest gap between the fine and the coarse quadrature that is accepted
+_QUAD_TOL = 1e-6
+
 
 def wiener_average(moments: np.ndarray, n_terms: int) -> float:
     """(1 / (2N+1)) sum_{n=-N}^{N} |mu_n|^2 from one-sided moments.
@@ -105,7 +108,6 @@ def moment_by_quadrature(
     n: int,
     lattice: Lattice,
     nodes: int = 256,
-    tol: float = 1e-6,
 ) -> complex | np.ndarray:
     """n-th moment of the hatted measure: arc integral plus atom sum.
 
@@ -122,17 +124,17 @@ def moment_by_quadrature(
     Raises
     ------
     QuadratureNotConverged
-        If the node counts still disagree beyond ``tol`` after the doubling.
+        If the node counts still disagree beyond 1e-6 after the doubling.
     """
     flip = n < 0
     n = abs(n)
     fine, coarse = _arc_integrals(a, b, omega, n, lattice, (nodes, nodes // 2))
     gap = np.abs(fine - coarse).max()
-    if gap > tol:
+    if gap > _QUAD_TOL:
         coarse, (fine,) = fine, _arc_integrals(a, b, omega, n, lattice, (2 * nodes,))
         gap = np.abs(fine - coarse).max()
-    if gap > tol:
-        raise QuadratureNotConverged(f"quadrature gap {gap:.3e} exceeds {tol:.1e}")
+    if gap > _QUAD_TOL:
+        raise QuadratureNotConverged(f"quadrature gap {gap:.3e} exceeds {_QUAD_TOL:.1e}")
     if lattice is Lattice.HALF_LINE:
         result = complex(fine) + sum(pt.z0**n * pt.mu for pt in _hl.mass_points(a, b))
         return result.conjugate() if flip else result
@@ -153,15 +155,15 @@ def brute_force_return(
     site: int,
     q: Qubit,
     steps: int,
-    dimension: int | None = None,
 ) -> float:
-    """Return probability by dense matrix powers (no band tricks).
+    """Return probability by dense matrix powers (no band tricks), at the
+    full-cone ``default_dimension``.
 
     Cost guard: refuses more than 64 steps.
     """
     if steps > 64:
         raise TooLarge("brute-force oracle capped at 64 steps")
-    dim = dimension or default_dimension(spec.lattice, steps, site)
+    dim = default_dimension(spec.lattice, steps, site)
     dense = build_transition(spec, dim, check=False).to_dense()
     psi = qubit_state(spec.lattice, site, q, dim)
     evolved = psi @ np.linalg.matrix_power(dense, steps)

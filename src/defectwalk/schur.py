@@ -123,10 +123,17 @@ def schur_defect(a: complex, b: complex, z) -> complex | np.ndarray:
     return val if val.ndim else complex(val)
 
 
+def _boundary_parts(a: complex, b: complex, theta: np.ndarray):
+    """(f_a, w, w + b, 1 + conj(b) w) at z = e^{i theta}, with w = z^2 f_a;
+    the last two are the numerator and denominator of f_{a,b}."""
+    fa = schur_constant_boundary(a, theta)
+    w = np.exp(2j * theta) * fa
+    return fa, w, w + b, 1.0 + np.conj(b) * w
+
+
 def schur_defect_boundary(a: complex, b: complex, theta) -> complex | np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    w = np.exp(2j * theta) * schur_constant_boundary(a, theta)
-    val = (w + b) / (1.0 + np.conj(b) * w)
+    _, _, num, den = _boundary_parts(a, b, np.asarray(theta, dtype=float))
+    val = num / den
     return val if val.ndim else complex(val)
 
 
@@ -150,12 +157,8 @@ def g_line(a: complex, b: complex, z) -> complex | np.ndarray:
 
 
 def g_line_boundary(a: complex, b: complex, theta) -> complex | np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    val = (
-        np.exp(2j * theta)
-        * schur_constant_boundary(a, theta)
-        * schur_defect_boundary(a, b, theta)
-    )
+    _, w, num, den = _boundary_parts(a, b, np.asarray(theta, dtype=float))
+    val = w * (num / den)
     return val if val.ndim else complex(val)
 
 
@@ -226,12 +229,29 @@ def _branch_mask(a: complex, theta: np.ndarray) -> np.ndarray:
     return np.abs(np.abs(np.sin(theta)) - abs(a)) <= _BRANCH_TOL
 
 
-def _one_minus_sq_fa(a: complex, theta: np.ndarray) -> np.ndarray:
-    # 1 - |f_a|^2 on the arcs |sin theta| > |a|, in the cancellation-free
-    # form 2q / (|sin theta| + q) with q = sqrt(sin^2 theta - |a|^2).
-    s = np.abs(np.sin(theta))
-    q = np.sqrt(np.maximum(s * s - abs(a) ** 2, 0.0))
-    return 2.0 * q / (s + q)
+def _ac_weight(a: complex, b: complex, theta, check_branch: bool, density, cell=()):
+    """Frame of both weights: zero on the singular arcs |sin theta| < |a| and
+    ``density(z, f_a, w, num, den, 1 - |f_a|^2, 1 - |f_{a,b}|^2)`` elsewhere
+    (``w, num, den`` as in :func:`_boundary_parts`), shaped like theta (at
+    least 1-d) plus ``cell``.  Both ``1 - |f|^2`` are closed forms that stay
+    accurate beside the branch points: 2q / (|sin theta| + q) with
+    q = sqrt(sin^2 theta - |a|^2), and the Moebius identity
+    (1 - |b|^2)(1 - |f_a|^2) / |den|^2.
+    """
+    theta_arr = np.atleast_1d(np.asarray(theta, dtype=float))
+    if check_branch and np.any(_branch_mask(a, theta_arr)):
+        raise BranchPoint("theta too close to a branch point of the weight")
+    out = np.zeros(theta_arr.shape + cell, dtype=complex if cell else float)
+    ac = ~_gamma_mask(a, theta_arr)
+    if np.any(ac):
+        th = theta_arr[ac]
+        fa, w, num, den = _boundary_parts(a, b, th)
+        s = np.abs(np.sin(th))
+        q = np.sqrt(np.maximum(s * s - abs(a) ** 2, 0.0))
+        d_a = 2.0 * q / (s + q)
+        d_ab = (1.0 - abs(b) ** 2) * d_a / np.abs(den) ** 2
+        out[ac] = density(np.exp(1j * th), fa, w, num, den, d_a, d_ab)
+    return out
 
 
 def weight_halfline(
@@ -242,26 +262,15 @@ def weight_halfline(
     Exactly zero on the singular arcs |sin theta| < |a|; elsewhere
     Re (1 + h) / (1 - h) with h the boundary values of z f_{a,b}(z),
     evaluated as (1 - |h|^2) / |1 - h|^2 with the numerator in closed form
-    (a Moebius identity on top of 1 - |f_a|^2), which stays accurate beside
-    the branch points where 1 - |h|^2 would otherwise cancel to noise.
-    ``check_branch=False`` skips the branch-point proximity guard; the
-    quadrature uses it because its nodes crowd quadratically toward the
-    (integrable) endpoints.
+    (see :func:`_ac_weight`).  ``check_branch=False`` skips the branch-point
+    proximity guard; the quadrature uses it because its nodes crowd
+    quadratically toward the (integrable) endpoints.
     """
-    theta_arr = np.atleast_1d(np.asarray(theta, dtype=float))
-    if check_branch and np.any(_branch_mask(a, theta_arr)):
-        raise BranchPoint("theta too close to a branch point of the weight")
-    out = np.zeros(theta_arr.shape)
-    ac = ~_gamma_mask(a, theta_arr)
-    if np.any(ac):
-        th = theta_arr[ac]
-        w0 = np.exp(2j * th) * schur_constant_boundary(a, th)
-        rho_b2 = 1.0 - abs(b) ** 2
-        one_minus_fab2 = (
-            rho_b2 * _one_minus_sq_fa(a, th) / np.abs(1.0 + np.conj(b) * w0) ** 2
-        )
-        h = np.exp(1j * th) * (w0 + b) / (1.0 + np.conj(b) * w0)
-        out[ac] = one_minus_fab2 / np.abs(1.0 - h) ** 2
+
+    def density(z, fa, w, num, den, d_a, d_ab):
+        return d_ab / np.abs(1.0 - z * num / den) ** 2
+
+    out = _ac_weight(a, b, theta, check_branch, density)
     return out if np.ndim(theta) else float(out[0])
 
 
@@ -274,32 +283,23 @@ def weight_line(
     antidiagonal Schur function carrying omega f_a and conj(omega) f_{a,b}.
     Output shape is theta.shape + (2, 2).
     """
-    theta_arr = np.atleast_1d(np.asarray(theta, dtype=float))
-    if check_branch and np.any(_branch_mask(a, theta_arr)):
-        raise BranchPoint("theta too close to a branch point of the weight")
-    out = np.zeros(theta_arr.shape + (2, 2), dtype=complex)
-    ac = ~_gamma_mask(a, theta_arr)
-    if np.any(ac):
-        th = theta_arr[ac]
-        z = np.exp(1j * th)
-        fa = schur_constant_boundary(a, th)
-        fab = schur_defect_boundary(a, b, th)
-        g = z * z * fa * fab
-        # Sandwich form w = (M^-1)^dag (1 - f^dag f) M^-1 with M = 1 - z f:
-        # every factor is computed without cancellation, so w stays PSD in
+
+    def density(z, fa, w, num, den, d_a, d_ab):
+        # Sandwich form W = (M^-1)^dag (1 - f^dag f) M^-1 with M = 1 - z f:
+        # every factor is computed without cancellation, so W stays PSD in
         # floating point even beside the branch points where |g| -> 1.
-        d2 = _one_minus_sq_fa(a, th)  # 1 - |f_a|^2
-        w0 = z * z * fa
-        d1 = (1.0 - abs(b) ** 2) * d2 / np.abs(1.0 + np.conj(b) * w0) ** 2
+        fab = num / den
         u = z * omega * fa
         v = z * np.conj(omega) * fab
-        scale = 1.0 / np.abs(1.0 - g) ** 2
-        out_ac = np.zeros(th.shape + (2, 2), dtype=complex)
-        out_ac[..., 0, 0] = (d1 + d2 * np.abs(v) ** 2) * scale
-        out_ac[..., 1, 1] = (d1 * np.abs(u) ** 2 + d2) * scale
-        out_ac[..., 0, 1] = (d1 * u + d2 * np.conj(v)) * scale
-        out_ac[..., 1, 0] = np.conj(out_ac[..., 0, 1])
-        out[ac] = out_ac
+        scale = 1.0 / np.abs(1.0 - w * fab) ** 2  # g = z^2 f_a f_{a,b}
+        cell = np.zeros(z.shape + (2, 2), dtype=complex)
+        cell[..., 0, 0] = (d_ab + d_a * np.abs(v) ** 2) * scale
+        cell[..., 1, 1] = (d_ab * np.abs(u) ** 2 + d_a) * scale
+        cell[..., 0, 1] = (d_ab * u + d_a * np.conj(v)) * scale
+        cell[..., 1, 0] = np.conj(cell[..., 0, 1])
+        return cell
+
+    out = _ac_weight(a, b, theta, check_branch, density, (2, 2))
     return out if np.ndim(theta) else out[0]
 
 

@@ -69,6 +69,15 @@ class TestSimulate:
             )
         assert exc.value.code == 2
 
+    def test_zero_dimension_rejected(self, tmp_path):
+        # 0 is a truncation below the floor, not "use the default"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                tmp_path, "simulate", "--lattice", "line", "--coin", H_FLAG,
+                "--defect", H_FLAG, "--steps", "3", "--dimension", "0",
+            )
+        assert exc.value.code == 2
+
 
 class TestClassify:
     def test_hadamard_m0(self, tmp_path):
@@ -188,6 +197,81 @@ class TestMasses:
             "--b=0.4714797994509592,0.8818764640770935",
         )
         assert code == 1
+
+
+# the keys of every JSON document, localized and not (diagonal constant coin,
+# and a = 0 on the half line)
+LOCALIZED = {"line": ["--a", "0.3,0.4", "--b=0.5,-0.2"], "halfline": ["--a", "0.5,0.5", "--b", "0.5,0.5"]}
+UNLOCALIZED = [
+    ("line", ["--coin", IDENTITY_FLAG, "--defect", H_FLAG]),
+    ("halfline", ["--coin", IDENTITY_FLAG, "--defect", H_FLAG]),
+    ("halfline", ["--a", "0,0", "--b", "0.2,0.1"]),
+]
+DOC_KEYS = {
+    ("classify", "line"): {"label", "mass_points", "p_limit", "nonlocalized_qubit"},
+    ("classify", "halfline"): {"l_label", "tangent_profile", "mass_points", "p_cesaro", "nonlocalized_qubit"},
+    ("masses", "line"): {"mass_points"},
+    ("masses", "halfline"): {"mass_points"},
+    ("return-prob", "line"): {"label", "qubit", "p_limit", "state_independent"},
+    ("return-prob", "halfline"): {"n_mass_points", "qubit", "p_cesaro", "p_limit"},
+    ("classify", None): {"label", "no_localization", "reason", "mass_points"},
+    ("masses", None): {"mass_points"},
+    ("return-prob", None): {"p_limit", "state_independent", "no_localization"},
+}
+ROW_KEYS = {"line": {"z_re", "z_im", "m", "eta_re", "eta_im"}, "halfline": {"z_re", "z_im", "side", "mu"}}
+
+
+class TestJsonKeys:
+    @pytest.mark.parametrize("command", ["classify", "masses", "return-prob"])
+    @pytest.mark.parametrize(
+        "lattice, params, localized",
+        [(lat, params, True) for lat, params in LOCALIZED.items()]
+        + [(lat, params, False) for lat, params in UNLOCALIZED],
+    )
+    def test_exact_key_sets(self, tmp_path, command, lattice, params, localized):
+        code, text = run_cli(tmp_path, command, "--lattice", lattice, *params)
+        assert code == 0
+        doc = json.loads(text)
+        assert set(doc) == {"schema_version", "lattice"} | DOC_KEYS[command, lattice if localized else None]
+        assert doc["schema_version"] == 1 and doc["lattice"] == lattice
+        rows = doc.get("mass_points")
+        if rows is not None:
+            assert bool(rows) == localized and all(set(row) == ROW_KEYS[lattice] for row in rows)
+        if command == "classify" and lattice == "line" and localized:
+            assert set(doc["p_limit"]) == {"state_independent", "value", "qubit"}
+
+
+class TestIgnoredFlagsRefused:
+    @pytest.mark.parametrize("flag", [["--coin", H_FLAG], ["--defect", H_FLAG], ["--omega", "0,1"]])
+    def test_region_takes_no_coins_or_omega(self, tmp_path, flag):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(tmp_path, "region", "--lattice", "line", "--b", "0.2,0.1", "--grid", "8", *flag)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["classify", "masses", "return-prob", "weight"])
+    def test_omega_refused_on_halfline(self, tmp_path, command):
+        extra = ["--theta-grid", "8"] if command == "weight" else []
+        argv = [command, "--a", "0.5,0.5", "--b", "0.5,0.5", "--omega", "0,1", *extra]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(tmp_path, argv[0], "--lattice", "halfline", *argv[1:])
+        assert exc.value.code == 2
+        code, _ = run_cli(tmp_path, argv[0], "--lattice", "line", *argv[1:])
+        assert code == 0
+
+    def test_omega_on_the_line_is_read(self, tmp_path):
+        argv = ["weight", "--lattice", "line", "--a", "0.5,0.5", "--b", "0.5,0.5", "--theta-grid", "8"]
+        _, default = run_cli(tmp_path, *argv)
+        _, turned = run_cli(tmp_path, *argv, "--omega", "0,1")
+        assert default != turned
+
+    @pytest.mark.parametrize("lattice", ["line", "halfline"])
+    def test_omega_refused_with_coins(self, tmp_path, lattice):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                tmp_path, "classify", "--lattice", lattice, "--coin", H_FLAG,
+                "--defect", KONNO_PI_FLAG, "--omega", "0,1",
+            )
+        assert exc.value.code == 2
 
 
 class TestRegion:

@@ -194,6 +194,11 @@ class TestEvolve:
         with pytest.raises(TruncationTooSmall):
             return_probability_series(spec, 0, Qubit(1.0, 0.0), 100, dimension=40)
 
+    def test_zero_dimension_is_refused_not_defaulted(self):
+        spec = WalkSpec(Lattice.LINE, hadamard(), hadamard())
+        with pytest.raises(TruncationTooSmall):
+            return_probability_series(spec, 0, Qubit(1.0, 0.0), 3, dimension=0)
+
 
 class TestReturnProbability:
     def test_zero_steps_is_one(self, rng):
