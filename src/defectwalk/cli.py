@@ -22,14 +22,17 @@ import numpy as np
 from . import halfline as hl
 from . import line as ln
 from . import oracles
-from .cmv import default_dimension, min_dimension, return_probability_series
+from .cmv import default_dimension, min_dimension, moments_at_origin, return_probability_series
 from .coins import (
     Lattice,
     Qubit,
     WalkSpec,
     defect_params,
+    hadamard,
     hat_qubit,
+    konno_defect,
     random_coin,
+    spec_for_halfline_params,
     validate_coin,
 )
 from .errors import DefectWalkError, DiagonalCoin, TooLarge
@@ -110,7 +113,7 @@ def _emit(args, text: str):
 
 
 def _resolve_params(args):
-    """(a, b, omega, vartheta, spec-or-None) from either coins or raw values."""
+    """(a, b, omega, spec-or-None) from either coins or raw values."""
     has_coins = args.coin is not None or args.defect is not None
     has_raw = args.a is not None or args.b is not None
     if has_coins and has_raw:
@@ -123,7 +126,7 @@ def _resolve_params(args):
             raise _fail_usage("--omega: the coins fix omega; give it only with --a/--b")
         spec = WalkSpec(lattice, _parse_coin("--coin", args.coin), _parse_coin("--defect", args.defect))
         p = defect_params(spec)
-        return p.a, p.b, p.omega, p.vartheta, spec
+        return p.a, p.b, p.omega, spec
     if args.a is None or args.b is None:
         raise _fail_usage("give either --coin/--defect or --a/--b")
     a = _parse_complex("--a", args.a)
@@ -135,7 +138,7 @@ def _resolve_params(args):
         raise _fail_usage("--omega: must be unimodular")
     if args.omega is not None and lattice is Lattice.HALF_LINE:
         raise _fail_usage("--omega: line only")
-    return a, b, omega, 0.0, None
+    return a, b, omega, None
 
 
 def _add_coin_opts(p: argparse.ArgumentParser, with_params: bool = True):
@@ -179,7 +182,7 @@ def _classification_payload(args):
     constant coin, given as coins or as a = 0 on the half line."""
     lattice = Lattice.parse(args.lattice)
     try:
-        a, b, omega, _, spec = _resolve_params(args)
+        a, b, omega, spec = _resolve_params(args)
     except DiagonalCoin:
         return lattice, None, None
     if a == 0 and lattice is Lattice.HALF_LINE:
@@ -368,7 +371,7 @@ def _cmd_curves(args) -> int:
 
 def _cmd_weight(args) -> int:
     lattice = Lattice.parse(args.lattice)
-    a, b, omega, _, _ = _resolve_params(args)
+    a, b, omega, _ = _resolve_params(args)
     if a == 0:  # the diagonal coin, refused like its coins in _resolve_params
         raise DiagonalCoin("constant coin is diagonal: no localization (a = 0)")
     n = _size("--theta-grid", args.theta_grid, 8, MAX_THETA_GRID)
@@ -391,8 +394,6 @@ def _cmd_weight(args) -> int:
 
 
 def _verify_rows_wiener(rng):
-    from .coins import hadamard, konno_defect
-
     specs = [
         ("konno phi=pi (line)", WalkSpec(Lattice.LINE, hadamard(), konno_defect(math.pi))),
         ("hadamard (line, M0)", WalkSpec(Lattice.LINE, hadamard(), hadamard())),
@@ -408,16 +409,12 @@ def _verify_rows_wiener(rng):
 
 
 def _verify_rows_kmcg(rng):
-    from .coins import hadamard, konno_defect, spec_for_halfline_params
-
     specs = [
         ("konno phi=pi (line)", WalkSpec(Lattice.LINE, hadamard(), konno_defect(math.pi))),
         ("a=b=0.5+0.5i (halfline)", spec_for_halfline_params(0.5 + 0.5j, 0.5 + 0.5j)),
     ]
     rows = []
     for name, spec in specs:
-        from .cmv import moments_at_origin
-
         sim = moments_at_origin(spec, 10)
         worst = 0.0
         for n in range(11):

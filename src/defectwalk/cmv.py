@@ -20,9 +20,13 @@ and five-block-diagonal on the line (2x2 blocks; scalar half-width 4).
 
 ``build_transition`` assembles U twice, once directly from the coin action
 and once as Lambda C Lambda^dagger with the CMV factorization, and verifies
-entry-wise agreement before returning.  The phases of Lambda and of the
-Verblunsky coefficients are reduced mod 2 pi from exact partial products,
-so the agreement holds to a few eps at any size.
+entry-wise agreement before returning.  One writer, ``_coin_band``, lays out
+both: U is the walk with the given coins, and the CMV matrix C is the walk
+whose coin at site x is the Szego coin [[rho, -alpha], [conj alpha, rho]] of
+the Verblunsky coefficient alpha = alpha_{2x}; the check thus compares the
+raw coin entries with the CGMV formulas for alpha and Lambda.  The phases of
+Lambda and of the Verblunsky coefficients are reduced mod 2 pi from exact
+partial products, so the agreement holds to a few eps at any size.
 
 Evolution
 ---------
@@ -101,18 +105,13 @@ def index_of(lattice: Lattice, site: int, up: bool) -> int:
     return -4 * site - (2 if up else 3)
 
 
-def site_of_index(lattice: Lattice, i: int) -> tuple[int, bool]:
-    """Inverse of :func:`index_of`: returns (site, is_up)."""
+def site_of_index(lattice: Lattice, i):
+    """Inverse of :func:`index_of`: returns (site, is_up), elementwise for an
+    index array."""
     if lattice is Lattice.HALF_LINE:
         return i // 2, i % 2 == 0
-    j, r = divmod(i, 4)
-    if r == 0:
-        return j, True
-    if r == 3:
-        return j, False
-    if r == 2:
-        return -j - 1, True
-    return -j - 1, False
+    j, r = divmod(i, 4)  # r = 0, 3: site j; r = 1, 2: site -j - 1
+    return j - (r % 3 != 0) * (2 * j + 1), r % 2 == 0
 
 
 def min_dimension(steps: int, start_site: int = 0) -> int:
@@ -226,43 +225,27 @@ def _unimodular(*terms) -> np.ndarray:
     return np.exp(1j * angle)
 
 
-def _lambda_halfline(spec: WalkSpec, size: int) -> np.ndarray:
-    # lambda_0 = 1, lambda_{2k+1} = e^{i (tau2 + k sigma2)}, lambda_{2k+2} = e^{-i (tau1 + k sigma1)}
-    c, d = spec.coin, spec.defect
-    lam = np.ones(size, dtype=complex)
-    k = np.arange(len(lam[1::2]))
-    lam[1::2] = _unimodular((1, d.sigma2), (k, c.sigma2))
-    k = np.arange(len(lam[2::2]))
-    lam[2::2] = _unimodular((-1, d.sigma1), (-k, c.sigma1))
-    return lam
-
-
-def _lambda_line(spec: WalkSpec, size: int) -> np.ndarray:
-    # blocks 2k-1 and 2k (k >= 1) of two entries each follow lambda_0 = lambda_1 = 1
-    c, d = spec.coin, spec.defect
-    lam = np.ones(size, dtype=complex)
-    k = np.arange(1, len(lam[2::4]) + 1)
-    lam[2::4] = _unimodular((k, c.sigma1))
-    k = np.arange(1, len(lam[3::4]) + 1)
-    lam[3::4] = _unimodular((1, d.sigma2), (k - 1, c.sigma2))
-    k = np.arange(1, len(lam[4::4]) + 1)
-    lam[4::4] = _unimodular((-1, d.sigma1), (1 - k, c.sigma1))
-    k = np.arange(1, len(lam[5::4]) + 1)
-    lam[5::4] = _unimodular((-k, c.sigma2))
-    return lam
-
-
 def build_lambda(spec: WalkSpec, size: int) -> np.ndarray:
     """Diagonal of the unimodular factor Lambda, as a length-``size`` vector.
 
-    On the line Lambda is diagonal in 2x2 blocks, hence still a plain
-    diagonal; the vector interleaves the block entries.
+    With tau the defect's diagonal phases and sigma the coin's, |x up>
+    carries e^{-i (tau1 + (x-1) sigma1)} for x >= 1 and e^{-i x sigma1} for
+    x <= 0, and |x dn> carries e^{i (tau2 + x sigma2)} for x >= 0 and
+    e^{i (x+1) sigma2} for x < 0.  On the line Lambda is diagonal in 2x2
+    blocks, hence still a plain diagonal, and its sites x >= 0 carry the
+    half line's Lambda.
     """
     if size < 2:
         raise SizeTooSmall("need size >= 2")
-    if spec.lattice is Lattice.HALF_LINE:
-        return _lambda_halfline(spec, size)
-    return _lambda_line(spec, size)
+    c, d = spec.coin, spec.defect
+    site, up = site_of_index(spec.lattice, np.arange(size))
+    k = np.where(up, site, site + 1)
+    ahead = (k > 0).astype(int)  # the mask of verblunsky_line
+    sign = np.where(up, -1, 1)
+    return _unimodular(
+        (sign * ahead, np.where(up, d.sigma1, d.sigma2)),
+        (sign * (k - ahead), np.where(up, c.sigma1, c.sigma2)),
+    )
 
 
 def verblunsky_halfline(spec: WalkSpec, count: int) -> np.ndarray:
@@ -288,76 +271,42 @@ def verblunsky_line(spec: WalkSpec, k):
     return np.where(k == 0, d.c21.conjugate(), tail)[()]
 
 
-def _coin_band(spec: WalkSpec, size: int) -> _BandBuilder:
-    """U from the coin action: ``up[x+1] = c11 up[x] + c12 dn[x]``,
-    ``dn[x-1] = c21 up[x] + c22 dn[x]``, with the defect coin at site 0 and,
-    on the half line, site 0's down output reflected into (0, up)."""
-    lat = spec.lattice
-    half = lat is Lattice.HALF_LINE
+def _coin_band(lattice: Lattice, size: int, coin_at) -> _BandBuilder:
+    """The band of the walk ``up[x+1] = c11 up[x] + c12 dn[x]``,
+    ``dn[x-1] = c21 up[x] + c22 dn[x]`` whose coin at site x is
+    ``coin_at(x) = (c11, c12, c21, c22)``, with, on the half line, site 0's
+    down output reflected into (0, up)."""
+    half = lattice is Lattice.HALF_LINE
     bb = _BandBuilder(size, 2 if half else 4)
     for i in range(size):
-        site, up = site_of_index(lat, i)
-        c = spec.defect if site == 0 else spec.coin
-        dn_target = 0 if half and site == 0 else index_of(lat, site - 1, False)
-        bb.set(i, index_of(lat, site + 1, True), c.c11 if up else c.c12)
-        bb.set(i, dn_target, c.c21 if up else c.c22)
+        site, up = site_of_index(lattice, i)
+        c11, c12, c21, c22 = coin_at(site)
+        dn_target = 0 if half and site == 0 else index_of(lattice, site - 1, False)
+        bb.set(i, index_of(lattice, site + 1, True), c11 if up else c12)
+        bb.set(i, dn_target, c21 if up else c22)
     return bb
 
 
-def _rho(alpha: complex) -> float:
-    return math.sqrt(1.0 - abs(alpha) ** 2)
+def _cmv_band(spec: WalkSpec, size: int) -> _BandBuilder:
+    """Lambda C Lambda^dagger: the CMV matrix C is the band of the walk whose
+    coin at site x is the Szego coin [[rho, -alpha], [conj alpha, rho]], with
+    alpha = alpha_{2x} and rho = sqrt(1 - |alpha|^2)."""
+    sites, _ = site_of_index(spec.lattice, np.arange(size))
+    lo = int(sites.min())
+    alpha = verblunsky_line(spec, np.arange(lo, sites.max() + 1)).tolist()
+    rho = [math.sqrt(1.0 - abs(a) ** 2) for a in alpha]
 
+    def theta(x):
+        a, r = alpha[x - lo], rho[x - lo]
+        return r, -a, a.conjugate(), r
 
-def _cmv_band_halfline(spec: WalkSpec, size: int) -> _BandBuilder:
-    bb = _BandBuilder(size, 2)
-    alphas = verblunsky_halfline(spec, size + 2)
-    for k in range((size + 1) // 2):
-        a2k = alphas[2 * k]
-        rho = _rho(a2k)
-        left = 2 * k - 1 if k > 0 else 0
-        bb.set(2 * k, left, a2k.conjugate())
-        bb.set(2 * k, 2 * k + 2, rho)
-        bb.set(2 * k + 1, left, rho)
-        bb.set(2 * k + 1, 2 * k + 2, -a2k)
-    lam = _lambda_halfline(spec, size)
-    return _conjugate_by_lambda(bb, lam)
-
-
-def _cmv_band_line(spec: WalkSpec, size: int) -> _BandBuilder:
-    bb = _BandBuilder(size, 4)
-    m_all = np.arange((size + 3) // 4)
-    alphas = zip(verblunsky_line(spec, m_all), verblunsky_line(spec, -m_all - 1))
-    for m, (a_plus, a_minus) in enumerate(alphas):  # alpha_{2m}, alpha_{-2m-2}
-        r_plus, r_minus = _rho(a_plus), _rho(a_minus)
-        if m == 0:
-            bb.set(0, 1, a_plus.conjugate())
-            bb.set(1, 0, -a_minus)
-            bb.set(2, 0, r_minus)
-            bb.set(3, 1, r_plus)
-        else:
-            bb.set(4 * m, 4 * m - 1, a_plus.conjugate())
-            bb.set(4 * m + 1, 4 * m - 2, -a_minus)
-            bb.set(4 * m + 2, 4 * m - 2, r_minus)
-            bb.set(4 * m + 3, 4 * m - 1, r_plus)
-        bb.set(4 * m, 4 * m + 4, r_plus)
-        bb.set(4 * m + 1, 4 * m + 5, r_minus)
-        bb.set(4 * m + 2, 4 * m + 5, a_minus.conjugate())
-        bb.set(4 * m + 3, 4 * m + 4, -a_plus)
-    lam = _lambda_line(spec, size)
-    return _conjugate_by_lambda(bb, lam)
-
-
-def _conjugate_by_lambda(bb: _BandBuilder, lam: np.ndarray) -> _BandBuilder:
+    bb = _coin_band(spec.lattice, size, theta)
+    del alpha, rho  # freed before Lambda's temporaries exist: a lower memory peak
+    lam = build_lambda(spec, size)
     w = bb.halfwidth
-    dim = bb.dim
-    for off in range(-w, w + 1):
-        col = bb.band[:, w + off]
-        if off >= 0:
-            col[: dim - off] *= lam[: dim - off] * lam[off:].conjugate()
-            col[dim - off :] = 0.0
-        else:
-            col[-off:] *= lam[-off:] * lam[: dim + off].conjugate()
-            col[: -off] = 0.0
+    right = np.pad(lam.conj(), w)  # right[i + w + off] = conj(lam[i + off])
+    for o in range(2 * w + 1):
+        bb.band[:, o] *= lam * right[o : o + size]
     return bb
 
 
@@ -365,8 +314,9 @@ def build_transition(spec: WalkSpec, size: int, check: bool = True) -> BandedUni
     """Truncated transition matrix of the walk.
 
     Assembled directly from the one-step coin action; when ``check`` is on
-    (the default) the Lambda C Lambda^dagger factorization is built as well
-    and the two are required to agree entry-wise to 1e-12.
+    (the default) the Lambda C Lambda^dagger factorization is built as well,
+    by the same band writer with C as the walk with Szego coins, and the two
+    are required to agree entry-wise to 1e-12.
 
     Raises
     ------
@@ -375,10 +325,10 @@ def build_transition(spec: WalkSpec, size: int, check: bool = True) -> BandedUni
     """
     if size < 4 or size % 2:
         raise SizeTooSmall("size must be even and >= 4")
-    direct = _coin_band(spec, size)
+    d, c = (tuple(coin.matrix.ravel().tolist()) for coin in (spec.defect, spec.coin))
+    direct = _coin_band(spec.lattice, size, lambda x: d if x == 0 else c)
     if check:
-        factor = _cmv_band_halfline if spec.lattice is Lattice.HALF_LINE else _cmv_band_line
-        gap = np.abs(direct.band - factor(spec, size).band).max()
+        gap = np.abs(direct.band - _cmv_band(spec, size).band).max()
         if gap > 1e-12:
             raise AssertionError(
                 f"coin-action and CMV constructions disagree by {gap:.3e}"
@@ -415,9 +365,13 @@ def evolve(u: BandedUnitary, psi0: np.ndarray, steps: int) -> np.ndarray:
     TruncationTooSmall
         If the matrix dimension is below ``min_dimension`` for the requested
         step count and the support of ``psi0``.
+    ValueError
+        If ``steps`` is negative or ``psi0`` does not match the dimension.
     """
     if len(psi0) != u.dim:
         raise ValueError("state length does not match matrix dimension")
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     need = min_dimension(steps, _support_reach(u.lattice, psi0))
     if u.dim < need:
         raise TruncationTooSmall(f"dimension {u.dim} < required {need}")
@@ -452,10 +406,13 @@ def _walk(
     The state is the left operand, as ``psi`` is in ``BandedUnitary.step``:
     numpy's fused multiply-add rounds ``x * c`` and ``c * x`` apart, and only
     this order equals the band bit for bit, up to the sign of an exact zero
-    outside the cone.  More than ``MAX_STEPS`` steps raise ``TooLarge``.
+    outside the cone.  More than ``MAX_STEPS`` steps raise ``TooLarge`` and
+    negative ``steps`` raise ``ValueError``, both before any buffer exists.
     """
     if steps > MAX_STEPS:
         raise TooLarge(f"walks are capped at {MAX_STEPS} steps, got {steps}")
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     half = spec.lattice is Lattice.HALF_LINE
     starts_at = [site for state in starts for site, _ in state]
     seen_at = [site for site, _ in observe]
@@ -534,6 +491,8 @@ def amplitude(
     spec: WalkSpec, i: int, j: int, steps: int, dimension: int | None = None
 ) -> complex:
     """Transition amplitude ``(U^steps)[i, j]`` for basis indices i, j."""
+    if i < 0 or j < 0:
+        raise ValueError(f"basis indices are nonnegative, got ({i}, {j})")
     start = site_of_index(spec.lattice, i)
     end = site_of_index(spec.lattice, j)
     _require_dimension(spec.lattice, steps, abs(start[0]), dimension)

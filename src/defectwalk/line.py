@@ -112,14 +112,12 @@ def mass_point_at(a: complex, b: complex, omega: complex, zeta0: complex) -> Mas
     BoundaryZeta
         If zeta0 is not strictly inside the arc Sigma_a.
     """
-    aa = abs(a) ** 2
     if not _on_arc(a, zeta0):
         raise BoundaryZeta("zeta0 is not strictly inside Sigma_a")
     w = 1.0 - a.conjugate() * zeta0
     z0 = w / abs(w)
-    rho_a2 = 1.0 - aa
     rho_b2 = 1.0 - abs(b) ** 2
-    m = 0.5 * (1.0 - rho_a2 / abs(zeta0 - a) ** 2) / (1.0 + rho_b2 / abs(zeta0 - b) ** 2)
+    m = 0.5 * _coefficient(a, zeta0) / (1.0 + rho_b2 / abs(zeta0 - b) ** 2)
     eta = -omega * (zeta0 - a) / abs(zeta0 - a)
     return MassPointLine(z0, zeta0, float(m), eta)
 
@@ -172,7 +170,7 @@ def classify(a: complex, b: complex, omega: complex = 1.0 + 0j) -> LineClass:
     return LineClass(label, tuple(points))
 
 
-def _coefficient(a: complex, b: complex, zeta0: complex) -> float:
+def _coefficient(a: complex, zeta0: complex) -> float:
     return 1.0 - (1.0 - abs(a) ** 2) / abs(zeta0 - a) ** 2
 
 
@@ -190,7 +188,7 @@ def return_form(a: complex, b: complex, omega: complex = 1.0 + 0j) -> np.ndarray
     for sign, zeta0 in zip((+1, -1), zeta_pm(b)):
         if not condition_m(a, b, sign):
             continue
-        coeff = _coefficient(a, b, zeta0)
+        coeff = _coefficient(a, zeta0)
         u = np.array([1.0, -omega.conjugate() * (zeta0.conjugate() + b) / rho_b])
         denom = 1.0 + abs(zeta0.conjugate() + b) ** 2 / rho_b**2
         m += (coeff**2 / denom) * np.outer(np.conj(u), u)
@@ -203,7 +201,7 @@ def return_probability_pm(
     """Single-pair contribution to the asymptotic return probability,
     in the explicit bracketed form (cross-check for the quadratic form)."""
     zeta0 = zeta_pm(b)[0 if sign > 0 else 1]
-    coeff = _coefficient(a, b, zeta0)
+    coeff = _coefficient(a, zeta0)
     rho_b = math.sqrt(1.0 - abs(b) ** 2)
     s = math.sqrt(1.0 - b.imag**2)
     bracket = 1.0 - sign * (

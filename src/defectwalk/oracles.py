@@ -159,10 +159,13 @@ def brute_force_return(
     """Return probability by dense matrix powers (no band tricks), at the
     full-cone ``default_dimension``.
 
-    Cost guard: refuses more than 64 steps.
+    Cost guard: refuses more than 64 steps; negative ``steps`` raise
+    ``ValueError``.
     """
     if steps > 64:
         raise TooLarge("brute-force oracle capped at 64 steps")
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     dim = default_dimension(spec.lattice, steps, site)
     dense = build_transition(spec, dim, check=False).to_dense()
     psi = qubit_state(spec.lattice, site, q, dim)

@@ -125,6 +125,43 @@ class TestBuildTransition:
             build_transition(spec, 9)
 
 
+def test_lambda_line_closed_form(rng):
+    # |x up> carries e^{-i (t1 + (x-1) s1)} for x >= 1 and e^{-i x s1} for
+    # x <= 0; |x dn> carries e^{i (t2 + x s2)} for x >= 0 and e^{i (x+1) s2}
+    # for x < 0
+    spec = random_spec(rng, Lattice.LINE)
+    s1, s2 = spec.coin.sigma1, spec.coin.sigma2
+    t1, t2 = spec.defect.sigma1, spec.defect.sigma2
+    lam = build_lambda(spec, 48)
+    for x in range(-12, 12):
+        up = -(t1 + (x - 1) * s1) if x >= 1 else -x * s1
+        dn = t2 + x * s2 if x >= 0 else (x + 1) * s2
+        assert lam[index_of(Lattice.LINE, x, True)] == pytest.approx(np.exp(1j * up), abs=1e-14)
+        assert lam[index_of(Lattice.LINE, x, False)] == pytest.approx(np.exp(1j * dn), abs=1e-14)
+    # the sites x >= 0 carry the half line's Lambda
+    half = build_lambda(WalkSpec(Lattice.HALF_LINE, spec.coin, spec.defect), 24)
+    for x in range(12):
+        for up in (True, False):
+            assert lam[index_of(Lattice.LINE, x, up)] == half[index_of(Lattice.HALF_LINE, x, up)]
+
+
+@pytest.mark.parametrize("lattice", list(Lattice))
+def test_site_of_index_elementwise(lattice):
+    sites, ups = site_of_index(lattice, np.arange(400))
+    assert [site_of_index(lattice, i) for i in range(400)] == list(zip(sites.tolist(), ups.tolist()))
+
+
+@pytest.mark.parametrize("lattice", list(Lattice))
+def test_build_check_catches_wrong_verblunsky(rng, monkeypatch, lattice):
+    # the CMV side with conjugated coefficients must fail the cross-check
+    spec = random_spec(rng, lattice)
+    build_transition(spec, 36, check=True)
+    verblunsky = cmv.verblunsky_line
+    monkeypatch.setattr(cmv, "verblunsky_line", lambda s, k: np.conj(verblunsky(s, k)))
+    with pytest.raises(AssertionError, match="disagree"):
+        build_transition(spec, 36, check=True)
+
+
 class TestEvolve:
     def test_zero_steps_identity(self, rng):
         spec = random_spec(rng, Lattice.LINE)
@@ -408,6 +445,39 @@ def test_step_cap_refuses_before_allocating(rng, monkeypatch):
     # MAX_STEPS itself passes the cap: a bad site then fails before any buffer
     with pytest.raises(ValueError):
         _walk(spec, [{(-1, True): 1.0}], [(0, True)], MAX_STEPS)
+
+
+def test_negative_steps_refused_before_allocating(rng, monkeypatch):
+    # numpy is out of reach in cmv, as in the step-cap test above
+    monkeypatch.setattr(cmv, "np", _NoNumpy())
+    for lattice in Lattice:
+        spec, q = random_spec(rng, lattice), random_qubit(rng)
+        for steps in (-1, -2):
+            for call in (
+                lambda: return_probability_series(spec, 0, q, steps),
+                lambda: return_probability(spec, 0, q, steps),
+                lambda: moments_at_origin(spec, steps),
+                lambda: amplitude(spec, 0, 0, steps),
+                lambda: simulated_moments(spec, 0, q, steps),
+            ):
+                with pytest.raises(ValueError, match="steps must be >= 0"):
+                    call()
+
+
+def test_evolve_refuses_negative_steps():
+    spec = WalkSpec(Lattice.LINE, hadamard(), hadamard())
+    u = build_transition(spec, 40)
+    with pytest.raises(ValueError, match="steps must be >= 0"):
+        evolve(u, basis_state(Lattice.LINE, 0, True, 40), -2)
+
+
+def test_amplitude_refuses_negative_indices(rng):
+    # divmod floors, so on the line index -5 would read as site -2 dn (index 5)
+    for lattice in Lattice:
+        spec = random_spec(rng, lattice)
+        for i, j in ((-5, 5), (5, -5), (-1, 0)):
+            with pytest.raises(ValueError, match="basis indices are nonnegative"):
+                amplitude(spec, i, j, 0)
 
 
 def test_halfline_buffer_spans_the_cone(rng):

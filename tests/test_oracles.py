@@ -154,3 +154,8 @@ class TestBruteForce:
         spec = random_spec(rng, Lattice.LINE)
         with pytest.raises(TooLarge):
             brute_force_return(spec, 0, random_qubit(rng), 65)
+
+    def test_negative_steps_refused(self, rng):
+        spec = random_spec(rng, Lattice.LINE)
+        with pytest.raises(ValueError, match="steps must be >= 0"):
+            brute_force_return(spec, 0, random_qubit(rng), -2)
