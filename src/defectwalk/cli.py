@@ -118,7 +118,7 @@ def _resolve_params(args):
     has_raw = args.a is not None or args.b is not None
     if has_coins and has_raw:
         raise _fail_usage("--coin/--defect and --a/--b are mutually exclusive")
-    lattice = Lattice.parse(args.lattice)
+    lattice = Lattice(args.lattice)
     if has_coins:
         if args.coin is None or args.defect is None:
             raise _fail_usage("--coin and --defect must be given together")
@@ -157,7 +157,7 @@ def _add_coin_opts(p: argparse.ArgumentParser, with_params: bool = True):
 
 
 def _cmd_simulate(args) -> int:
-    lattice = Lattice.parse(args.lattice)
+    lattice = Lattice(args.lattice)
     if args.coin is None or args.defect is None:
         raise _fail_usage("simulate requires --coin and --defect")
     spec = WalkSpec(lattice, _parse_coin("--coin", args.coin), _parse_coin("--defect", args.defect))
@@ -180,7 +180,7 @@ def _cmd_simulate(args) -> int:
 def _classification_payload(args):
     """(lattice, params, qubits); params and qubits are None for a diagonal
     constant coin, given as coins or as a = 0 on the half line."""
-    lattice = Lattice.parse(args.lattice)
+    lattice = Lattice(args.lattice)
     try:
         a, b, omega, spec = _resolve_params(args)
     except DiagonalCoin:
@@ -308,7 +308,7 @@ def _grid_coords(n: int) -> np.ndarray:
 
 
 def _cmd_region(args) -> int:
-    lattice = Lattice.parse(args.lattice)
+    lattice = Lattice(args.lattice)
     grid = _size("--grid", args.grid, 8, MAX_GRID)
     has_a = args.a is not None
     has_b = args.b is not None
@@ -370,7 +370,7 @@ def _cmd_curves(args) -> int:
 
 
 def _cmd_weight(args) -> int:
-    lattice = Lattice.parse(args.lattice)
+    lattice = Lattice(args.lattice)
     a, b, omega, _ = _resolve_params(args)
     if a == 0:  # the diagonal coin, refused like its coins in _resolve_params
         raise DiagonalCoin("constant coin is diagonal: no localization (a = 0)")

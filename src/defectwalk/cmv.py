@@ -21,12 +21,14 @@ and five-block-diagonal on the line (2x2 blocks; scalar half-width 4).
 ``build_transition`` assembles U twice, once directly from the coin action
 and once as Lambda C Lambda^dagger with the CMV factorization, and verifies
 entry-wise agreement before returning.  One writer, ``_coin_band``, lays out
-both: U is the walk with the given coins, and the CMV matrix C is the walk
-whose coin at site x is the Szego coin [[rho, -alpha], [conj alpha, rho]] of
-the Verblunsky coefficient alpha = alpha_{2x}; the check thus compares the
-raw coin entries with the CGMV formulas for alpha and Lambda.  The phases of
-Lambda and of the Verblunsky coefficients are reduced mod 2 pi from exact
-partial products, so the agreement holds to a few eps at any size.
+both, all rows at once from the site and spin arrays of the basis
+(``site_of_index`` and ``index_of`` both work elementwise): U is the walk
+with the given coins, and the CMV matrix C is the walk whose coin at site x
+is the Szego coin [[rho, -alpha], [conj alpha, rho]] of the Verblunsky
+coefficient alpha = alpha_{2x}; the check thus compares the raw coin entries
+with the CGMV formulas for alpha and Lambda.  The phases of Lambda and of the
+Verblunsky coefficients are reduced mod 2 pi from exact partial products, so
+the agreement holds to a few eps at any size.
 
 Evolution
 ---------
@@ -94,15 +96,16 @@ buffer is allocated."""
 _BLOCK = 64
 
 
-def index_of(lattice: Lattice, site: int, up: bool) -> int:
-    """Basis index of |site, spin> in the CMV ordering."""
+def index_of(lattice: Lattice, site, up):
+    """Basis index of |site, spin> in the CMV ordering, elementwise for arrays
+    of sites and spins; a Python int site and bool spin give an ``int``."""
+    dn = 1 - up
     if lattice is Lattice.HALF_LINE:
-        if site < 0:
+        if np.any(site < 0):
             raise ValueError("half-line sites are nonnegative")
-        return 2 * site + (0 if up else 1)
-    if site >= 0:
-        return 4 * site + (0 if up else 3)
-    return -4 * site - (2 if up else 3)
+        return 2 * site + dn
+    neg = site < 0  # index(j, up) = -4j - 2 and index(j, dn) = -4j - 3
+    return (1 - 2 * neg) * (4 * site + 3 * dn) - 2 * neg * up
 
 
 def site_of_index(lattice: Lattice, i):
@@ -126,20 +129,6 @@ def default_dimension(lattice: Lattice, steps: int, start_site: int = 0) -> int:
     if lattice is Lattice.HALF_LINE:
         return 2 * reach
     return 4 * reach + 4
-
-
-class _BandBuilder:
-    def __init__(self, dim: int, halfwidth: int):
-        self.dim = dim
-        self.halfwidth = halfwidth
-        self.band = np.zeros((dim, 2 * halfwidth + 1), dtype=complex)
-
-    def set(self, i: int, j: int, value: complex):
-        if 0 <= i < self.dim and 0 <= j < self.dim:
-            off = j - i
-            if abs(off) > self.halfwidth:
-                raise ValueError(f"entry ({i},{j}) outside band")
-            self.band[i, self.halfwidth + off] = value
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,16 +157,11 @@ class BandedUnitary:
         return complex(self.band[i, self.halfwidth + off])
 
     def to_dense(self) -> np.ndarray:
-        w = self.halfwidth
+        rows, offs = np.indices(self.band.shape)
+        cols = rows + offs - self.halfwidth
+        inside = (cols >= 0) & (cols < self.dim)
         dense = np.zeros((self.dim, self.dim), dtype=complex)
-        for off in range(-w, w + 1):
-            col = self.band[:, w + off]
-            if off >= 0:
-                idx = np.arange(0, self.dim - off)
-                dense[idx, idx + off] = col[: self.dim - off]
-            else:
-                idx = np.arange(-off, self.dim)
-                dense[idx, idx + off] = col[-off:]
+        dense[rows[inside], cols[inside]] = self.band[inside]
         return dense
 
     def step(self, psi: np.ndarray) -> np.ndarray:
@@ -271,43 +255,50 @@ def verblunsky_line(spec: WalkSpec, k):
     return np.where(k == 0, d.c21.conjugate(), tail)[()]
 
 
-def _coin_band(lattice: Lattice, size: int, coin_at) -> _BandBuilder:
+def _coin_band(lattice: Lattice, size: int, coin_at) -> np.ndarray:
     """The band of the walk ``up[x+1] = c11 up[x] + c12 dn[x]``,
-    ``dn[x-1] = c21 up[x] + c22 dn[x]`` whose coin at site x is
-    ``coin_at(x) = (c11, c12, c21, c22)``, with, on the half line, site 0's
-    down output reflected into (0, up)."""
+    ``dn[x-1] = c21 up[x] + c22 dn[x]`` whose coin at the sites x of an array
+    is ``coin_at(x) = (c11, c12, c21, c22)``, four arrays, with, on the half
+    line, site 0's down output reflected into (0, up).  All rows are written
+    at once; outputs past the truncation are dropped, and a kept output
+    outside the band raises ValueError."""
     half = lattice is Lattice.HALF_LINE
-    bb = _BandBuilder(size, 2 if half else 4)
-    for i in range(size):
-        site, up = site_of_index(lattice, i)
-        c11, c12, c21, c22 = coin_at(site)
-        dn_target = 0 if half and site == 0 else index_of(lattice, site - 1, False)
-        bb.set(i, index_of(lattice, site + 1, True), c11 if up else c12)
-        bb.set(i, dn_target, c21 if up else c22)
-    return bb
+    w = 2 if half else 4
+    band = np.zeros((size, 2 * w + 1), dtype=complex)  # before the temporaries: a lower peak RSS
+    rows = np.arange(size)
+    site, up = site_of_index(lattice, rows)
+    c11, c12, c21, c22 = coin_at(site)
+    wall = half & (site == 0)  # rows whose down output is reflected into (0, up)
+    for target, value in (
+        (index_of(lattice, site + 1, True), np.where(up, c11, c12)),
+        (index_of(lattice, site - 1 + wall, wall), np.where(up, c21, c22)),
+    ):
+        keep = target < size
+        off = target[keep] - rows[keep]
+        if np.abs(off).max(initial=0) > w:
+            raise ValueError("coin action leaves the band")
+        band[rows[keep], w + off] = value[keep]
+    return band
 
 
-def _cmv_band(spec: WalkSpec, size: int) -> _BandBuilder:
+def _cmv_band(spec: WalkSpec, size: int) -> np.ndarray:
     """Lambda C Lambda^dagger: the CMV matrix C is the band of the walk whose
     coin at site x is the Szego coin [[rho, -alpha], [conj alpha, rho]], with
     alpha = alpha_{2x} and rho = sqrt(1 - |alpha|^2)."""
-    sites, _ = site_of_index(spec.lattice, np.arange(size))
-    lo = int(sites.min())
-    alpha = verblunsky_line(spec, np.arange(lo, sites.max() + 1)).tolist()
-    rho = [math.sqrt(1.0 - abs(a) ** 2) for a in alpha]
 
-    def theta(x):
-        a, r = alpha[x - lo], rho[x - lo]
-        return r, -a, a.conjugate(), r
+    def szego(x):  # its arrays are freed before Lambda's temporaries exist
+        alpha = verblunsky_line(spec, x)
+        # |alpha|**2 as hypot then pow, like scalar abs and **
+        rho = np.sqrt(1.0 - np.float_power(np.hypot(alpha.real, alpha.imag), 2.0))
+        return rho, -alpha, alpha.conj(), rho
 
-    bb = _coin_band(spec.lattice, size, theta)
-    del alpha, rho  # freed before Lambda's temporaries exist: a lower memory peak
+    band = _coin_band(spec.lattice, size, szego)
     lam = build_lambda(spec, size)
-    w = bb.halfwidth
+    w = (band.shape[1] - 1) // 2
     right = np.pad(lam.conj(), w)  # right[i + w + off] = conj(lam[i + off])
     for o in range(2 * w + 1):
-        bb.band[:, o] *= lam * right[o : o + size]
-    return bb
+        band[:, o] *= lam * right[o : o + size]
+    return band
 
 
 def build_transition(spec: WalkSpec, size: int, check: bool = True) -> BandedUnitary:
@@ -325,16 +316,16 @@ def build_transition(spec: WalkSpec, size: int, check: bool = True) -> BandedUni
     """
     if size < 4 or size % 2:
         raise SizeTooSmall("size must be even and >= 4")
-    d, c = (tuple(coin.matrix.ravel().tolist()) for coin in (spec.defect, spec.coin))
-    direct = _coin_band(spec.lattice, size, lambda x: d if x == 0 else c)
+    d, c = spec.defect.matrix.ravel(), spec.coin.matrix.ravel()
+    band = _coin_band(spec.lattice, size, lambda x: [np.where(x == 0, *dc) for dc in zip(d, c)])
     if check:
-        gap = np.abs(direct.band - _cmv_band(spec, size).band).max()
+        gap = np.abs(_cmv_band(spec, size) - band).max()  # numpy reuses the CMV band's buffer
         if gap > 1e-12:
             raise AssertionError(
                 f"coin-action and CMV constructions disagree by {gap:.3e}"
             )
-    direct.band.flags.writeable = False
-    return BandedUnitary(spec.lattice, direct.band)
+    band.flags.writeable = False
+    return BandedUnitary(spec.lattice, band)
 
 
 def basis_state(lattice: Lattice, site: int, up: bool, dim: int) -> np.ndarray:
@@ -348,13 +339,6 @@ def qubit_state(lattice: Lattice, site: int, q: Qubit, dim: int) -> np.ndarray:
     psi[index_of(lattice, site, True)] = q.alpha
     psi[index_of(lattice, site, False)] = q.beta
     return psi
-
-
-def _support_reach(lattice: Lattice, psi: np.ndarray) -> int:
-    nz = np.nonzero(psi)[0]
-    if len(nz) == 0:
-        return 0
-    return max(abs(site_of_index(lattice, int(i))[0]) for i in nz)
 
 
 def evolve(u: BandedUnitary, psi0: np.ndarray, steps: int) -> np.ndarray:
@@ -372,7 +356,8 @@ def evolve(u: BandedUnitary, psi0: np.ndarray, steps: int) -> np.ndarray:
         raise ValueError("state length does not match matrix dimension")
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    need = min_dimension(steps, _support_reach(u.lattice, psi0))
+    site, _ = site_of_index(u.lattice, np.nonzero(psi0)[0])
+    need = min_dimension(steps, int(np.abs(site).max(initial=0)))
     if u.dim < need:
         raise TruncationTooSmall(f"dimension {u.dim} < required {need}")
     psi = psi0.astype(complex, copy=True)
@@ -406,13 +391,9 @@ def _walk(
     The state is the left operand, as ``psi`` is in ``BandedUnitary.step``:
     numpy's fused multiply-add rounds ``x * c`` and ``c * x`` apart, and only
     this order equals the band bit for bit, up to the sign of an exact zero
-    outside the cone.  More than ``MAX_STEPS`` steps raise ``TooLarge`` and
-    negative ``steps`` raise ``ValueError``, both before any buffer exists.
+    outside the cone.  Its callers refuse the step count and the dimension
+    first, with ``_require_walk``.
     """
-    if steps > MAX_STEPS:
-        raise TooLarge(f"walks are capped at {MAX_STEPS} steps, got {steps}")
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
     half = spec.lattice is Lattice.HALF_LINE
     starts_at = [site for state in starts for site, _ in state]
     seen_at = [site for site, _ in observe]
@@ -466,8 +447,10 @@ def _walk(
     return np.ascontiguousarray(box[:, row - top, spin].transpose(0, 2, 1))
 
 
-def _require_dimension(lattice: Lattice, steps: int, site: int, dimension: int | None):
-    """Raise TruncationTooSmall if ``dimension`` is below ``min_dimension``.
+def _require_walk(lattice: Lattice, steps: int, site: int, dimension: int | None):
+    """Refuse a walk before any buffer exists: TruncationTooSmall if
+    ``dimension`` is below ``min_dimension``, then TooLarge for more than
+    ``MAX_STEPS`` steps and ValueError for negative ``steps``.
 
     The kernel needs no truncation, but a requested one is still validated.
     """
@@ -475,6 +458,10 @@ def _require_dimension(lattice: Lattice, steps: int, site: int, dimension: int |
     need = min_dimension(steps, site)
     if dim < need:
         raise TruncationTooSmall(f"dimension {dim} < required {need}")
+    if steps > MAX_STEPS:
+        raise TooLarge(f"walks are capped at {MAX_STEPS} steps, got {steps}")
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
 
 
 def _qubit_amplitudes(
@@ -482,7 +469,7 @@ def _qubit_amplitudes(
 ) -> np.ndarray:
     """Amplitudes ``(up, dn)`` at ``site`` after 0..steps steps from the qubit
     ``q`` placed there, as a ``(steps + 1, 2)`` array."""
-    _require_dimension(spec.lattice, steps, site, dimension)
+    _require_walk(spec.lattice, steps, site, dimension)
     start = {(site, True): q.alpha, (site, False): q.beta}
     return _walk(spec, [start], list(start), steps)[:, 0]
 
@@ -490,12 +477,16 @@ def _qubit_amplitudes(
 def amplitude(
     spec: WalkSpec, i: int, j: int, steps: int, dimension: int | None = None
 ) -> complex:
-    """Transition amplitude ``(U^steps)[i, j]`` for basis indices i, j."""
+    """Transition amplitude ``(U^steps)[i, j]`` for basis indices i, j; it is
+    exactly 0 when the two sites lie more than ``steps`` apart (the half-line
+    wall only makes paths longer), and then no walk is run."""
     if i < 0 or j < 0:
         raise ValueError(f"basis indices are nonnegative, got ({i}, {j})")
     start = site_of_index(spec.lattice, i)
     end = site_of_index(spec.lattice, j)
-    _require_dimension(spec.lattice, steps, abs(start[0]), dimension)
+    _require_walk(spec.lattice, steps, abs(start[0]), dimension)
+    if abs(end[0] - start[0]) > steps:
+        return 0j
     return complex(_walk(spec, [{start: 1.0}], [end], steps)[-1, 0, 0])
 
 
@@ -529,7 +520,7 @@ def moments_at_origin(
     spec: WalkSpec, steps: int, dimension: int | None = None
 ) -> np.ndarray:
     """The (0,0) entry (half line) or 2x2 block (line) of U^n, n = 0..steps."""
-    _require_dimension(spec.lattice, steps, 0, dimension)
+    _require_walk(spec.lattice, steps, 0, dimension)
     if spec.lattice is Lattice.HALF_LINE:
         return _walk(spec, [{(0, True): 1.0}], [(0, True)], steps)[:, 0, 0]
     # basis states 0 and 1 of the folded line: |0 up> and |-1 dn>

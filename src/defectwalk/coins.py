@@ -57,15 +57,6 @@ class Lattice(Enum):
     LINE = "line"
     HALF_LINE = "halfline"
 
-    @classmethod
-    def parse(cls, name: str) -> "Lattice":
-        name = name.strip().lower().replace("-", "").replace("_", "")
-        if name in ("line", "z"):
-            return cls.LINE
-        if name in ("halfline", "zplus", "z+"):
-            return cls.HALF_LINE
-        raise ValueError(f"unknown lattice {name!r} (use 'line' or 'halfline')")
-
 
 @dataclass(frozen=True, eq=False)
 class Coin:

@@ -152,6 +152,39 @@ def test_site_of_index_elementwise(lattice):
 
 
 @pytest.mark.parametrize("lattice", list(Lattice))
+def test_index_of_elementwise(lattice):
+    sites = np.arange(-50 if lattice is Lattice.LINE else 0, 50)
+    for up in (True, False):
+        scalar = [index_of(lattice, s, up) for s in sites.tolist()]
+        assert all(type(i) is int for i in scalar)
+        assert index_of(lattice, sites, up).tolist() == scalar
+        assert index_of(lattice, sites, np.full(len(sites), up)).tolist() == scalar
+    ups = np.arange(len(sites)) % 3 == 0
+    got_sites, got_ups = site_of_index(lattice, index_of(lattice, sites, ups))
+    assert np.array_equal(got_sites, sites) and np.array_equal(got_ups, ups)
+    with pytest.raises(ValueError, match="nonnegative"):
+        index_of(Lattice.HALF_LINE, np.array([3, -1, 2]), True)
+
+
+@pytest.mark.parametrize("lattice", list(Lattice))
+def test_band_writer_refuses_entries_off_the_band(rng, monkeypatch, lattice):
+    # every target moved 8 places down the basis lies outside the band
+    index = cmv.index_of
+    monkeypatch.setattr(cmv, "index_of", lambda lat, site, up: index(lat, site, up) + 8)
+    with pytest.raises(ValueError, match="band"):
+        build_transition(random_spec(rng, lattice), 40, check=False)
+
+
+@pytest.mark.parametrize("lattice", list(Lattice))
+def test_to_dense_matches_entries(rng, lattice):
+    u = build_transition(random_spec(rng, lattice), 40)
+    dense = u.to_dense()
+    for i in range(40):
+        for j in range(40):
+            assert dense[i, j] == u.entry(i, j)
+
+
+@pytest.mark.parametrize("lattice", list(Lattice))
 def test_build_check_catches_wrong_verblunsky(rng, monkeypatch, lattice):
     # the CMV side with conjugated coefficients must fail the cross-check
     spec = random_spec(rng, lattice)
@@ -266,6 +299,32 @@ class TestAmplitude:
             u = build_transition(spec, default_dimension(lattice, 1, 2))
             for i, j in ((0, 0), (0, 2), (1, 2), (4, 5), (2, 1)):
                 assert amplitude(spec, i, j, 1) == pytest.approx(u.entry(i, j))
+
+    def test_matches_band_in_and_out_of_reach(self, rng):
+        # three steps reach sites up to 3 away; further ones get exactly 0
+        for lattice in Lattice:
+            spec = random_spec(rng, lattice)
+            dim = 40
+            for i in (0, 9):
+                psi0 = np.zeros(dim, dtype=complex)
+                psi0[i] = 1.0
+                final = band_states(spec, psi0, 3, dim)[-1]
+                for j in range(dim):
+                    assert amplitude(spec, i, j, 3, dim) == final[j]
+
+    def test_out_of_reach_runs_no_walk(self, rng):
+        # no buffer spans the 10^5 sites between the two basis states
+        for lattice in Lattice:
+            spec = random_spec(rng, lattice)
+            far = index_of(lattice, 10**5, True)
+            tracemalloc.start()
+            try:
+                got = [amplitude(spec, 0, far, 3), amplitude(spec, far, 1, 3)]
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1024 * 1024
+            assert all(type(a) is complex and a == 0 for a in got)
 
     def test_dimension_floor(self):
         assert min_dimension(100, 0) == 216
