@@ -320,7 +320,9 @@ def _cmd_region(args) -> int:
     if has_a and fixed == 0:
         raise _fail_usage("--a: must be nonzero")
     coords = _grid_coords(grid)
-    points = np.array([complex(re, im) for im in coords for re in coords])
+    points = np.empty((grid, grid), dtype=complex)  # rows run over im, like the CSV
+    points.real, points.imag = coords, coords[:, None]  # not re + 1j*im: 1j*im may carry -0.0
+    points = points.ravel()
     inside = np.abs(points) < 1.0
     counts = np.full(points.shape, -1)
     a, b = (fixed, points[inside]) if has_a else (points[inside], fixed)

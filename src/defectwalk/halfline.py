@@ -19,9 +19,10 @@ a-plane into the region classes L0, L1, L2 (number of localization-free
 bands of b: zero, one, or two).  Both curves are cubics in w = e^{it}, so
 the winding of each around a is the number of roots of curve(w) = a in the
 open unit disk (the argument principle): an exact count.  The cusps and the
-double points of the curves are roots as well.  Every root here is a
-companion-matrix eigenvalue from one batched helper; only the ``grid``
-oracle of ``mass_point_count`` samples.
+double points of the curves are roots as well.  Every deciding root is a
+companion-matrix eigenvalue from one batched helper; the batched atom count
+asks it only where closed-form roots leave a decision without margin.  Only
+the ``grid`` oracle of ``mass_point_count`` samples.
 """
 
 from __future__ import annotations
@@ -66,6 +67,8 @@ __all__ = [
 
 _T_MARGIN = 1e-9
 _ROOT_SEP = 1e-6
+_DELTA = 1e-9  # ~1000x the gap between fast and companion roots of the atom quartic
+_BLOCK = 2048  # points per block of a batched count: bounds its temporaries
 
 
 @dataclass(frozen=True)
@@ -147,6 +150,13 @@ def _companion_roots(coeffs):
     return np.linalg.eigvals(companion)
 
 
+def _atom_quartic(a, b):
+    """Coefficients of zeta p(zeta) - p*(zeta), highest degree first, on the last axis."""
+    ac, bc = a.conj(), b.conj()
+    coeffs = (-ac, 1 + 2 * ac * b - bc**2, 2 * (bc - b) - ac * b**2 + a * bc**2, b**2 - 1 - 2 * a * bc, a)
+    return np.stack(coeffs, axis=-1)
+
+
 def _arc_roots(a, b):
     """Roots of zeta p(zeta) - p*(zeta), batched over broadcast arrays a != 0
     and b, and the mask of those that are unimodular and lie inside Sigma_a by
@@ -156,16 +166,21 @@ def _arc_roots(a, b):
     Raises
     ------
     BorderlineA
-        If two of the four roots lie within ``_ROOT_SEP`` (a near-tangency).
+        If two of the four roots lie within ``_ROOT_SEP`` (a near-tangency),
+        or if the quartic made monic is not finite (|a| so small, subnormal,
+        that 1/a overflows).
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-    ac, bc = a.conj(), b.conj()
-    coeffs = (-ac, 1 + 2 * ac * b - bc**2, 2 * (bc - b) - ac * b**2 + a * bc**2, b**2 - 1 - 2 * a * bc, a)
-    roots = _companion_roots(np.stack(coeffs, axis=-1))
+    coeffs = _atom_quartic(a, b)
+    with np.errstate(all="ignore"):
+        monic_finite = np.isfinite(coeffs[..., 1:] / coeffs[..., :1]).all()
+    if not monic_finite:
+        raise BorderlineA("the atom quartic overflows when made monic: |a| is too small")
+    roots = _companion_roots(coeffs)
     i, j = np.triu_indices(4, 1)
     if np.any(np.abs(roots[..., i] - roots[..., j]) < _ROOT_SEP):
         raise BorderlineA(f"two roots of the atom equation lie within {_ROOT_SEP:g}")
-    inside = (ac[..., None] * roots).real < (np.abs(a) ** 2)[..., None] - _T_MARGIN
+    inside = (a.conj()[..., None] * roots).real < (np.abs(a) ** 2)[..., None] - _T_MARGIN
     return roots, (np.abs(np.abs(roots) - 1.0) < 1e-7) & inside
 
 
@@ -204,10 +219,12 @@ def _atom_from_parameter(a: complex, b: complex, t: float) -> MassPointHalfline:
 def mass_point_count(a, b, grid: int | None = None):
     """Number of atoms, broadcast over arrays of a and b; 0 where a = 0.
 
-    Returns an ``int`` for scalar input.  With ``grid`` the count is instead
-    the number of sign changes of Im[(zeta - b)^2/(zeta - a)] on that many
-    uniform points of the arc (scalars only): a sampling oracle that misses
-    atoms closer together than one cell.
+    Returns an ``int`` for scalar input.  Ferrari's closed-form roots give the
+    count where each decision of ``_arc_roots`` holds by ``_DELTA``, and it
+    recounts the rest.  With ``grid`` the count is instead the number of sign
+    changes of Im[(zeta - b)^2/(zeta - a)] on that many uniform points of the
+    arc (scalars only): a sampling oracle that misses atoms closer together
+    than one cell.
     """
     _check_disk(a, b)
     if grid is not None:
@@ -220,9 +237,38 @@ def mass_point_count(a, b, grid: int | None = None):
         return int(np.count_nonzero(sign[:-1] * sign[1:] < 0) + np.count_nonzero(im == 0.0))
     a, b = np.broadcast_arrays(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
     counts = np.zeros(a.shape, dtype=int)
-    nonzero = a != 0
-    counts[nonzero] = _arc_roots(a[nonzero], b[nonzero])[1].sum(axis=-1)
+    nonzero = np.flatnonzero(a)
+    i, j = np.triu_indices(4, 1)
+    for at in np.split(nonzero, range(_BLOCK, nonzero.size, _BLOCK)):
+        ab, bb = a.flat[at], b.flat[at]
+        with np.errstate(all="ignore"):  # overflow makes nan, which has no margin
+            roots, step = _quartic_roots(_atom_quartic(ab, bb))
+            off, gaps = np.abs(roots) - 1.0, np.abs(roots[:, i] - roots[:, j]) - _ROOT_SEP
+            slack = (ab.conj()[:, None] * roots).real - (np.abs(ab) ** 2 - _T_MARGIN)[:, None]
+            margin = np.concatenate((gaps, np.abs(np.abs(off) - 1e-7), np.abs(slack)), axis=-1)
+            sure = (margin.min(axis=-1) > _DELTA) & (step.max(axis=-1) < _DELTA / 10)
+        counts.flat[at] = ((np.abs(off) < 1e-7) & (slack < 0)).sum(axis=-1)
+        counts.flat[at[~sure]] = _arc_roots(ab[~sure], bb[~sure])[1].sum(axis=-1)
     return int(counts) if counts.ndim == 0 else counts
+
+
+def _quartic_roots(c):
+    """Roots of the quartics in the rows of ``c`` (highest degree first) by
+    Ferrari's resolvent cubic and two Newton steps, and each last step |f/f'|:
+    a root of f lies within 4 |f/f'| of the point the step started from."""
+    _, B, C, D, E = cs = (c / c[:, :1]).T[..., None]
+    p, q = C - 3 * B**2 / 8, D - B * C / 2 + B**3 / 8
+    r = E - B * D / 4 + B**2 * C / 16 - 3 * B**4 / 256
+    # a root m of the resolvent m^3 + p m^2 + (p^2/4 - r) m - q^2/8, by Cardano
+    s, u = -(p**2) / 12 - r, -(p**3) / 108 + p * r / 3 - q**2 / 8
+    d = np.sqrt(u**2 / 4 + s**3 / 27)
+    w = np.where(np.abs(d - u / 2) >= np.abs(d + u / 2), d - u / 2, -d - u / 2) ** (1 / 3)
+    sq = np.sqrt(2 * (w - s / (3 * w) - p / 3))  # sqrt(2 m)
+    x = [(g * sq + h * np.sqrt(-(2 * p + sq**2 + 2 * g * q / sq))) / 2 for g in (1, -1) for h in (1, -1)]
+    x, slopes = np.concatenate(x, axis=-1) - B / 4, cs[:-1] * np.arange(4, 0, -1)[:, None, None]
+    for _ in range(2):
+        x = x - (step := np.polyval(cs, x) / np.polyval(slopes, x))
+    return x, np.abs(step)
 
 
 def point_mass(a: complex, b: complex, zeta0: complex) -> float:
@@ -423,10 +469,13 @@ def _disk_roots(curve, a: complex) -> tuple[int, float]:
     around a.  The second value is measured to a point on the curve, so it
     bounds the distance from a to the curve from above and equals it to
     first order; it is 0 at a cusp, where a double root of the cubic may sit
-    off the circle by the square root of the rounding error.
+    off the circle by the square root of the rounding error.  A root at 0
+    (the middle one for 0 < |a| below about 1e-30) is measured at w = 1.
     """
     roots = _companion_roots(np.subtract(curve, (0.0, 0.0, 0.0, a)))
-    gap = np.abs(np.polyval(curve, roots / np.abs(roots)) - a).min()
+    modulus = np.abs(roots)
+    unit = np.divide(roots, modulus, out=np.ones_like(roots), where=modulus > 0)
+    gap = np.abs(np.polyval(curve, unit) - a).min()
     return int(np.count_nonzero(np.abs(roots) < 1.0)), float(gap)
 
 

@@ -509,6 +509,23 @@ class TestErrorPaths:
             run_cli(tmp_path, *argv)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--a=1e-35,1e-35", "--b", "0.2,0"],
+            ["masses", "--a", "1e-320,0", "--b", "0.2,0"],
+            ["return-prob", "--a", "1e-320,0", "--b", "0.2,0"],
+            ["region", "--a", "1e-320,0", "--grid", "8"],
+        ],
+    )
+    def test_tiny_halfline_a_is_borderline(self, tmp_path, capsys, argv):
+        # a 0 root of the epitrochoid cubic, and a quartic that overflows when made monic
+        code, _ = run_cli(tmp_path, argv[0], "--lattice", "halfline", *argv[1:])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: BorderlineA: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_numerical_guard_exit_code(self, tmp_path):
         # a on the epitrochoid: classification is reported as borderline
         from defectwalk.halfline import epitrochoid

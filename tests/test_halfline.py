@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -120,6 +121,13 @@ class TestMassPoints:
             hl.mass_point_count(a, b)
         with pytest.raises(BorderlineA):
             hl.mass_point_count(np.array([a, 0.3]), np.array([b, 0.2]))
+
+    def test_subnormal_a_is_borderline(self):
+        # 1/a overflows: the quartic has no finite monic form
+        with pytest.raises(BorderlineA):
+            hl.mass_points(1e-320, 0.2)
+        with pytest.raises(BorderlineA):
+            hl.mass_point_count(1e-320, np.array([0.2, 0.5j]))
 
     def test_batched_count_matches_points(self):
         coords = -1.0 + (2 * np.arange(32) + 1) / 32
@@ -348,6 +356,13 @@ class TestRegionClass:
         with pytest.raises(ZeroA):
             hl.classify_region(0.0)
 
+    @pytest.mark.parametrize("a", [1e-25 + 1e-25j, 1e-35 + 1e-35j, 1e-320])
+    def test_tiny_a_is_borderline(self, a):
+        # a -> 0 approaches the epitrochoid's double point at the origin; below
+        # about 1e-30 the cubic's middle root comes out exactly 0
+        with pytest.raises(BorderlineA):
+            hl.classify_region(a)
+
 
 class TestCurves:
     def test_epicycloid_cusps(self):
@@ -408,6 +423,98 @@ class TestCompanionRoots:
         for row, p in zip(roots, coeffs):
             # bytes, so that the signs of zero count too
             assert row.tobytes() == np.roots(p).astype(complex).tobytes()
+
+
+def _companion_count(a, b):
+    """The decider's count at one point, or None where it raises BorderlineA."""
+    try:
+        return int(hl._arc_roots(a, b)[1].sum())
+    except BorderlineA:
+        return None
+
+
+def _plane():
+    coords = -1.0 + (2 * np.arange(128) + 1) / 128
+    points = (coords[None, :] + 1j * coords[:, None]).ravel()
+    return points[np.abs(points) < 1.0]
+
+
+class TestBatchedCount:
+    """The batched count takes the closed-form roots only where every decision
+    has margin, and asks the companion roots everywhere else."""
+
+    @pytest.fixture
+    def recounted(self, monkeypatch):
+        points = []
+        arc_roots = hl._arc_roots
+
+        def spy(a, b):
+            points.append(np.size(a))
+            return arc_roots(a, b)
+
+        monkeypatch.setattr(hl, "_arc_roots", spy)
+        return points
+
+    @pytest.mark.parametrize(
+        "a_min, a_max, n, recount_share",
+        # below |a| = 1e-3 the monic quartic grows like 1/|a| and the closed
+        # form loses digits: most points there must be recounted
+        [(1e-3, 0.99, 3000, 0.01), (1e-6, 1e-3, 500, 1.0)],
+    )
+    def test_equals_companion_count(self, recounted, a_min, a_max, n, recount_share):
+        rng = np.random.default_rng(18)
+        a = np.exp(rng.uniform(math.log(a_min), math.log(a_max), n) + 2j * np.pi * rng.uniform(size=n))
+        b = 0.99 * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+        ref = [_companion_count(ai, bi) for ai, bi in zip(a, b)]
+        keep = np.array([c is not None for c in ref])
+        assert keep.sum() >= 0.97 * n and (np.abs(b) > 0.98).sum() >= n // 100
+        recounted.clear()
+        counts = hl.mass_point_count(a[keep], b[keep])
+        assert counts.tolist() == [c for c in ref if c is not None]
+        assert sum(recounted) <= recount_share * keep.sum()
+
+    @pytest.mark.parametrize("spoil", ["nan", "edge"])
+    def test_fallback_recounts_spoiled_points(self, monkeypatch, recounted, spoil):
+        a, b = 0.45 - 0.3j, _plane()
+        keep = hl._arc_roots(a, b)[1]
+        recounted.clear()
+        quartic_roots = hl._quartic_roots
+
+        def spoiled_roots(c):
+            roots, step = quartic_roots(c)
+            rows = np.arange(0, len(roots), 7)
+            if spoil == "nan":
+                roots[rows, 0] = np.nan
+            else:  # the root nearest the circle, moved onto the edge of |r| = 1 within 1e-7
+                k = np.abs(np.abs(roots[rows]) - 1.0).argmin(axis=-1)
+                roots[rows, k] *= (1.0 + 1e-7) / np.abs(roots[rows, k])
+            return roots, step
+
+        monkeypatch.setattr(hl, "_quartic_roots", spoiled_roots)
+        assert np.array_equal(hl.mass_point_count(a, b), keep.sum(axis=-1))
+        assert sum(recounted) >= len(b) // 7
+
+    def test_guard_raises_through_recount(self, monkeypatch):
+        a, b = ATOM_MISS_CASES[0][0], complex(0.4714797994509592, 0.8818764640770935)
+        plane = _plane()
+        expected = hl._arc_roots(0.45 - 0.3j, plane)[1].sum(axis=-1)
+        nan_roots = np.full((hl._BLOCK, 4), np.nan)
+        monkeypatch.setattr(hl, "_quartic_roots", lambda c: (nan_roots[: len(c)], nan_roots[: len(c)]))
+        assert np.array_equal(hl.mass_point_count(0.45 - 0.3j, plane), expected)
+        with pytest.raises(BorderlineA):
+            hl.mass_point_count(np.array([0.3, a]), np.array([0.2, b]))
+
+    def test_plane_memory_bounded(self):
+        b = _plane()
+        assert len(b) == 12892
+        hl.mass_point_count(0.45 - 0.3j, b[:8])
+        tracemalloc.start()
+        try:
+            hl.mass_point_count(0.45 - 0.3j, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20  # 7.5 MiB with all the companion matrices at once
 
 
 class TestOutOfDisk:
