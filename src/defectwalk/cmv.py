@@ -368,23 +368,22 @@ def evolve(u: BandedUnitary, psi0: np.ndarray, steps: int) -> np.ndarray:
 
 def _walk(
     spec: WalkSpec,
-    starts: list[dict[tuple[int, bool], complex]],
+    start: dict[tuple[int, bool], complex],
     observe: list[tuple[int, bool]],
     steps: int,
 ) -> np.ndarray:
-    """Amplitudes at the ``observe`` (site, is_up) pairs after 0..steps steps,
-    as a ``(steps + 1, len(starts), len(observe))`` array; ``starts`` holds one
-    initial state per batch member, mapping (site, is_up) to an amplitude.
+    """Amplitudes at the ``observe`` (site, is_up) pairs after 0..steps steps
+    from ``start``, a map (site, is_up) -> amplitude, as a ``(steps + 1, len(observe))`` array.
 
     One step, in natural site order with the defect coin at site 0::
 
         up[x+1] = c11 up[x] + c12 dn[x]        dn[x-1] = c21 up[x] + c22 dn[x]
 
     with, on the half line, the down output of site 0 reflected into (0, up).
-    Step n covers the sites in the forward light cone of the starts that can
+    Step n covers the sites in the forward light cone of the start that can
     still reach an observed site, widened to the union over its block of
     ``_BLOCK`` steps, whose views are built once.  State and coin are stacked
-    as ``s[row, spin, batch]`` (spin 0 up) and ``coin[out, row, in]``, with the
+    as ``s[row, spin]`` (spin 0 up) and ``coin[out, row, in]``, with the
     defect matrix in the row of site 0, so a step is one multiply, one add into
     a strided view of the next buffer (up outputs of row r land in r + 1, down
     outputs in r - 1) and one slice copy of the rows of the observed sites.
@@ -395,31 +394,27 @@ def _walk(
     first, with ``_require_walk``.
     """
     half = spec.lattice is Lattice.HALF_LINE
-    starts_at = [site for state in starts for site, _ in state]
-    seen_at = [site for site, _ in observe]
-    if half and min(starts_at + seen_at) < 0:
+    first, last = min(start)[0], max(start)[0]
+    seen_lo, seen_hi = min(observe)[0], max(observe)[0]
+    if half and min(first, seen_lo) < 0:
         raise ValueError("half-line sites are nonnegative")
-    first, last = min(starts_at), max(starts_at)
-    seen_lo, seen_hi = min(seen_at), max(seen_at)
     floor = 0 if half else -math.inf
     # buffer row r holds site r + base, with a spare row past each cone edge;
     # on the half line a cone that reaches the wall puts site -1 in row 0,
     # which receives the output to be reflected
     base = max(min(first - steps, seen_lo), floor) - 1
     rows = max(last + steps, seen_hi) + 2 - base
-    batch = len(starts)
-    bufs = np.zeros((2, rows, 2, batch), dtype=complex)
-    prod = np.empty((2, rows, 2, batch), dtype=complex)
-    coin = np.repeat(spec.coin.matrix[:, None, :, None], rows, axis=1)
+    bufs = np.zeros((2, rows, 2), dtype=complex)
+    prod = np.empty((2, rows, 2), dtype=complex)
+    coin = np.repeat(spec.coin.matrix[:, None, :], rows, axis=1)
     z = -base  # row of site 0
     if 0 <= z < rows:
-        coin[:, z, :, 0] = spec.defect.matrix
-    for b, state in enumerate(starts):
-        for (site, is_up), amp in state.items():
-            bufs[0, site - base, 0 if is_up else 1, b] = amp
+        coin[:, z] = spec.defect.matrix
+    for (site, is_up), amp in start.items():
+        bufs[0, site - base, 0 if is_up else 1] = amp
     row, spin = np.array([(site - base, 0 if is_up else 1) for site, is_up in observe]).T
     top, bottom = row.min(), row.max() + 1
-    box = np.empty((steps + 1, bottom - top, 2, batch), dtype=complex)
+    box = np.empty((steps + 1, bottom - top, 2), dtype=complex)
     box[0] = bufs[0, top:bottom]
     # the window [lo, hi) of every step, then its union over each block
     n = np.arange(steps)
@@ -428,13 +423,13 @@ def _walk(
     firsts = range(0, steps, _BLOCK)
     lows = np.minimum.reduceat(lows, firsts).astype(int)
     highs = np.maximum(np.maximum.reduceat(highs, firsts), lows)
-    row_stride, spin_stride, _ = bufs.strides[1:]
-    strides = (spin_stride - 2 * row_stride, row_stride, bufs.itemsize)
+    row_stride, spin_stride = bufs.strides[1:]
+    strides = (spin_stride - 2 * row_stride, row_stride)
     for n0, lo, hi in zip(firsts, lows.tolist(), highs.tolist()):
         views = []
         for s, s_next in (bufs, bufs[::-1]):
-            shifted = as_strided(s_next[lo + 1 :], (2, hi - lo, batch), strides)
-            wall = (s_next[z, 0], s_next[z - 1, 1]) if half and lo == z else None
+            shifted = as_strided(s_next[lo + 1 :], (2, hi - lo), strides)
+            wall = (s_next[z, :1], s_next[z - 1, 1:]) if half and lo == z else None
             views.append((s[None, lo:hi], shifted, wall, s_next[top:bottom]))
         c, p, p0, p1 = coin[:, lo:hi], prod[:, lo:hi], prod[:, lo:hi, 0], prod[:, lo:hi, 1]
         for n in range(n0, min(n0 + _BLOCK, steps)):
@@ -444,7 +439,7 @@ def _walk(
             if wall:  # lo >= 1, so z - 1 is a row
                 np.copyto(*wall)
             box[n + 1] = seen
-    return np.ascontiguousarray(box[:, row - top, spin].transpose(0, 2, 1))
+    return np.ascontiguousarray(box[:, row - top, spin])
 
 
 def _require_walk(lattice: Lattice, steps: int, site: int, dimension: int | None):
@@ -471,7 +466,7 @@ def _qubit_amplitudes(
     ``q`` placed there, as a ``(steps + 1, 2)`` array."""
     _require_walk(spec.lattice, steps, site, dimension)
     start = {(site, True): q.alpha, (site, False): q.beta}
-    return _walk(spec, [start], list(start), steps)[:, 0]
+    return _walk(spec, start, list(start), steps)
 
 
 def amplitude(
@@ -482,12 +477,11 @@ def amplitude(
     wall only makes paths longer), and then no walk is run."""
     if i < 0 or j < 0:
         raise ValueError(f"basis indices are nonnegative, got ({i}, {j})")
-    start = site_of_index(spec.lattice, i)
-    end = site_of_index(spec.lattice, j)
+    start, end = site_of_index(spec.lattice, i), site_of_index(spec.lattice, j)
     _require_walk(spec.lattice, steps, abs(start[0]), dimension)
     if abs(end[0] - start[0]) > steps:
         return 0j
-    return complex(_walk(spec, [{start: 1.0}], [end], steps)[-1, 0, 0])
+    return complex(_walk(spec, {start: 1.0}, [end], steps)[-1, 0])
 
 
 def return_probability(
@@ -522,7 +516,12 @@ def moments_at_origin(
     """The (0,0) entry (half line) or 2x2 block (line) of U^n, n = 0..steps."""
     _require_walk(spec.lattice, steps, 0, dimension)
     if spec.lattice is Lattice.HALF_LINE:
-        return _walk(spec, [{(0, True): 1.0}], [(0, True)], steps)[:, 0, 0]
-    # basis states 0 and 1 of the folded line: |0 up> and |-1 dn>
+        return _walk(spec, {(0, True): 1.0}, [(0, True)], steps)[:, 0]
+    # one walk from |0 up> + |-1 dn> (basis states 0 and 1 of the folded line): a step
+    # moves every amplitude by one site, so start i reaches observed k iff i + k + n is even
     block = [(0, True), (-1, False)]
-    return _walk(spec, [{at: 1.0} for at in block], block, steps)
+    amps = _walk(spec, dict.fromkeys(block, 1.0), block, steps)
+    moments = np.zeros((steps + 1, 2, 2), dtype=complex)
+    n, k = np.ogrid[: steps + 1, :2]
+    moments[n, (n + k) % 2, k] = amps
+    return moments

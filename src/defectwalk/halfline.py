@@ -248,7 +248,8 @@ def mass_point_count(a, b, grid: int | None = None):
             margin = np.concatenate((gaps, np.abs(np.abs(off) - 1e-7), np.abs(slack)), axis=-1)
             sure = (margin.min(axis=-1) > _DELTA) & (step.max(axis=-1) < _DELTA / 10)
         counts.flat[at] = ((np.abs(off) < 1e-7) & (slack < 0)).sum(axis=-1)
-        counts.flat[at[~sure]] = _arc_roots(ab[~sure], bb[~sure])[1].sum(axis=-1)
+        if not sure.all():
+            counts.flat[at[~sure]] = _arc_roots(ab[~sure], bb[~sure])[1].sum(axis=-1)
     return int(counts) if counts.ndim == 0 else counts
 
 

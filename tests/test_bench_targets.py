@@ -1,10 +1,15 @@
-"""The benchmark's traced run wraps named defectwalk functions; a refactor
-that renames or moves one of them breaks that run."""
+"""The benchmark's traced run wraps named defectwalk functions, and its
+workloads call the program with fixed arguments; a refactor that renames or
+moves one of those functions, or changes one of those signatures, breaks the
+benchmark."""
 
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
+
+import numpy as np
+from helpers import random_qubit, random_spec
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -30,3 +35,25 @@ def test_reference_count_signature():
 
     count = halfline.mass_point_count(0.5 + 0.5j, 0.5 + 0.5j, grid=4096)
     assert type(count) is int and count == 1
+
+
+def test_walk_calls_of_the_benchmark(rng, capsys):
+    # perfbench/workloads.py makes these calls: moments_at_origin and
+    # return_probability_series with a dimension (the moment and line average
+    # checks), simulated_moments (the Wiener check) and simulate --dimension
+    # (the walk warm-up); the dimension changes no output
+    from defectwalk import cli, cmv, oracles
+    from defectwalk.coins import Lattice
+
+    for lattice, shape in ((Lattice.LINE, (21, 2, 2)), (Lattice.HALF_LINE, (21,))):
+        spec, q = random_spec(rng, lattice), random_qubit(rng)
+        moments = cmv.moments_at_origin(spec, 20, dimension=cmv.min_dimension(20))
+        assert moments.shape == shape and np.array_equal(moments, cmv.moments_at_origin(spec, 20))
+        series = cmv.return_probability_series(spec, 0, q, 800, dimension=cmv.min_dimension(800))
+        assert series.shape == (801,) and np.isfinite(series).all()
+        assert oracles.simulated_moments(spec, 0, q, 400).shape == (401,)
+        flag = ",".join(repr(float(x)) for v in spec.coin.matrix.ravel() for x in (v.real, v.imag))
+        argv = ["simulate", "--lattice", lattice.value, "--coin=" + flag, "--defect=" + flag,
+                "--steps", "8", "--qubit=0.6,0,0.8,0", "--dimension", str(cmv.default_dimension(lattice, 600))]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.startswith("n,p")

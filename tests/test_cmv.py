@@ -383,7 +383,7 @@ class TestKernelMatchesBand:
 
     def test_seeded_specs(self):
         # 20 specs per lattice, 1-300 steps, starts at sites 0-3; the line
-        # also runs the two-vector batch of moments_at_origin
+        # also runs the superposed walk of moments_at_origin
         rng = np.random.default_rng(11)
         for lattice in Lattice:
             for _ in range(20):
@@ -410,7 +410,7 @@ class TestKernelMatchesBand:
             taps = [index_of(lattice, site, up) for site, up in observe]
             band = np.array([psi[taps] for psi in states])
             start = {(3, True): q.alpha, (3, False): q.beta}
-            assert np.array_equal(_walk(spec, [start], observe, self.STEPS)[:, 0], band)
+            assert np.array_equal(_walk(spec, start, observe, self.STEPS), band)
 
     def test_state_is_the_left_operand(self, rng):
         # numpy's complex multiply is a fused multiply-add, so x * c and c * x
@@ -419,28 +419,46 @@ class TestKernelMatchesBand:
         x = rng.normal(size=2000) + 1j * rng.normal(size=2000)
         for lattice in Lattice:
             spec = random_spec(rng, lattice)
-            for site, coin in ((5, spec.coin), (0, spec.defect)):
-                # on the half line site 0's down output is reflected into (0, up)
-                wall = lattice is Lattice.HALF_LINE and site == 0
-                observe = [(site + 1, True), (0, True) if wall else (site - 1, False)]
-                for is_up in (True, False):
-                    starts = [{(site, is_up): v} for v in x]
-                    out = _walk(spec, starts, observe, 1)[1]
-                    assert np.array_equal(out, x[:, None] * coin.matrix[:, 0 if is_up else 1])
+            for is_up in (True, False):
+                col = 0 if is_up else 1
+                # constant coin: one start with the draws 3 sites apart from
+                # site 5 on, so the outputs at x + 1 and x - 1 never collide
+                sites = range(5, 5 + 3 * len(x), 3)
+                observe = [at for y in sites for at in ((y + 1, True), (y - 1, False))]
+                out = _walk(spec, {(y, is_up): v for y, v in zip(sites, x)}, observe, 1)[1]
+                assert np.array_equal(out.reshape(-1, 2), x[:, None] * spec.coin.matrix[:, col])
+                # defect coin at site 0, whose down output on the half line is
+                # reflected into (0, up): one walk per draw
+                wall = lattice is Lattice.HALF_LINE
+                observe = [(1, True), (0, True) if wall else (-1, False)]
+                out = [_walk(spec, {(0, is_up): v}, observe, 1)[1] for v in x]
+                assert np.array_equal(out, x[:, None] * spec.defect.matrix[:, col])
+
+    @pytest.mark.parametrize("block", [1, 1000])
+    def test_superposed_line_block(self, monkeypatch, block):
+        # the one walk from |0 up> + |-1 dn> behind the line's moment block
+        # equals the band walks from the two basis states, at both parities
+        monkeypatch.setattr(cmv, "_BLOCK", block)
+        rng = np.random.default_rng(19)
+        for i in range(20):
+            spec = random_spec(rng, Lattice.LINE)
+            steps = 2 * int(rng.integers(0, 150)) + i % 2
+            dim = default_dimension(Lattice.LINE, steps)
+            starts = [basis_state(Lattice.LINE, 0, True, dim), basis_state(Lattice.LINE, -1, False, dim)]
+            rows = [band_states(spec, psi0, steps, dim) for psi0 in starts]
+            band = np.array([[r[n][:2] for r in rows] for n in range(steps + 1)])
+            assert np.array_equal(moments_at_origin(spec, steps), band)
 
 
-def _band_amplitudes(spec, starts, observe, steps):
+def _band_amplitudes(spec, start, observe, steps):
     """The band's amplitudes at ``observe``, in ``_walk``'s layout."""
-    reach = max(abs(site) for state in starts + [dict.fromkeys(observe)] for site, _ in state)
+    reach = max(abs(site) for site, _ in [*start, *observe])
     dim = default_dimension(spec.lattice, steps, reach)
     taps = [index_of(spec.lattice, site, up) for site, up in observe]
-    rows = []
-    for state in starts:
-        psi0 = np.zeros(dim, dtype=complex)
-        for (site, up), amp in state.items():
-            psi0[index_of(spec.lattice, site, up)] = amp
-        rows.append([psi[taps] for psi in band_states(spec, psi0, steps, dim)])
-    return np.array(rows).transpose(1, 0, 2)
+    psi0 = np.zeros(dim, dtype=complex)
+    for (site, up), amp in start.items():
+        psi0[index_of(spec.lattice, site, up)] = amp
+    return np.array([psi[taps] for psi in band_states(spec, psi0, steps, dim)])
 
 
 class TestBlockedWindows:
@@ -454,19 +472,19 @@ class TestBlockedWindows:
         observe = [(site, up) for site in (0, 3, 5) for up in (True, False)]
         for lattice in Lattice:
             spec, q = random_spec(rng, lattice), random_qubit(rng)
-            starts = [{(3, True): q.alpha, (3, False): q.beta}, {(0, False): 1.0}]
-            for steps in (0, 63, 64, 65, 129):
-                band = _band_amplitudes(spec, starts, observe, steps)
-                assert np.array_equal(_walk(spec, starts, observe, steps), band)
+            for start in ({(3, True): q.alpha, (3, False): q.beta}, {(0, False): 1.0}):
+                for steps in (0, 63, 64, 65, 129):
+                    band = _band_amplitudes(spec, start, observe, steps)
+                    assert np.array_equal(_walk(spec, start, observe, steps), band)
 
     def test_wall_enters_mid_block(self, rng):
         # from site s the cone reaches the wall at step s, inside a block
         spec, q = random_spec(rng, Lattice.HALF_LINE), random_qubit(rng)
         for site in range(5, 71):
-            starts = [{(site, True): q.alpha, (site, False): q.beta}]
+            start = {(site, True): q.alpha, (site, False): q.beta}
             observe = [(site, True), (site, False), (0, True)]
-            band = _band_amplitudes(spec, starts, observe, 150)
-            assert np.array_equal(_walk(spec, starts, observe, 150), band)
+            band = _band_amplitudes(spec, start, observe, 150)
+            assert np.array_equal(_walk(spec, start, observe, 150), band)
 
     def test_unreachable_observer(self, rng):
         # 10 or 30 steps from site 40 never reach site 0, so every step's
@@ -474,10 +492,10 @@ class TestBlockedWindows:
         # reach it from step 40 on
         for lattice in Lattice:
             spec = random_spec(rng, lattice)
-            starts, observe = [{(40, True): 1.0}], [(0, True), (0, False)]
+            start, observe = {(40, True): 1.0}, [(0, True), (0, False)]
             for steps in (10, 30, 50):
-                got = _walk(spec, starts, observe, steps)
-                assert np.array_equal(got, _band_amplitudes(spec, starts, observe, steps))
+                got = _walk(spec, start, observe, steps)
+                assert np.array_equal(got, _band_amplitudes(spec, start, observe, steps))
             assert not got[:40].any() and got[40:].any()
 
 
@@ -503,7 +521,7 @@ def test_step_cap_refuses_before_allocating(rng, monkeypatch):
                 call()
     # MAX_STEPS itself passes the cap: a bad site then fails before any buffer
     with pytest.raises(ValueError):
-        _walk(spec, [{(-1, True): 1.0}], [(0, True)], MAX_STEPS)
+        _walk(spec, {(-1, True): 1.0}, [(0, True)], MAX_STEPS)
 
 
 def test_negative_steps_refused_before_allocating(rng, monkeypatch):
