@@ -39,10 +39,13 @@ simulated moments of ``oracles``) instead step in natural site order, "coin,
 then shift", which is the two-factor block structure behind the CMV
 factorization, and touch only the sites inside the light cone of the start
 sites that can still reach an observed site (one window per block of steps).
-A step is one multiply, one add and one slice copy.  Both put the state left
-of the coin in every product (numpy's fused complex multiply rounds ``x * c``
-and ``c * x`` apart) and add the same two products, so they agree bit for
-bit, up to the sign of an exact zero.
+A step is one multiply, one add and one slice copy.  On the line a step moves
+every amplitude by one site, so a walk keeps only the sublattice its start
+occupies at each step's parity, and the line's moment block takes one walk per
+basis state.  The band and the walk both put the state left of the coin in
+every product (numpy's fused complex multiply rounds ``x * c`` and ``c * x``
+apart) and add the same two products, so they agree bit for bit, up to the
+sign of an exact zero.
 
 Truncation: amplitudes are exact for the infinite system as long as the
 ballistic cone (one site per step) stays inside the matrix.  The enforced
@@ -59,7 +62,6 @@ amplitudes do not depend on it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -373,7 +375,8 @@ def _walk(
     steps: int,
 ) -> np.ndarray:
     """Amplitudes at the ``observe`` (site, is_up) pairs after 0..steps steps
-    from ``start``, a map (site, is_up) -> amplitude, as a ``(steps + 1, len(observe))`` array.
+    from ``start``, a map (site, is_up) -> amplitude, as a C-ordered
+    ``(steps + 1, len(observe))`` array.
 
     One step, in natural site order with the defect coin at site 0::
 
@@ -383,10 +386,18 @@ def _walk(
     Step n covers the sites in the forward light cone of the start that can
     still reach an observed site, widened to the union over its block of
     ``_BLOCK`` steps, whose views are built once.  State and coin are stacked
-    as ``s[row, spin]`` (spin 0 up) and ``coin[out, row, in]``, with the
-    defect matrix in the row of site 0, so a step is one multiply, one add into
-    a strided view of the next buffer (up outputs of row r land in r + 1, down
-    outputs in r - 1) and one slice copy of the rows of the observed sites.
+    as ``s[row, spin]`` (spin 0 up) and ``coin[out, row, in]``, so a step is
+    one multiply, one add into a strided view of the next buffer and one slice
+    copy of the rows of the observed sites.  On the half line row r holds site
+    r + base in both buffers (the wall puts site 0's output back on site 0), up
+    outputs of row r land in r + 1 and down outputs in r - 1.  On the line a
+    step moves every amplitude by one site, so a start whose sites share one
+    parity (any other raises ValueError) occupies one sublattice per step:
+    buffer b = n & 1 holds only the sites of parity base + b, with base of the
+    start's parity, in row r site 2r + b + base; up outputs move by b rows and
+    down outputs by b - 1; each buffer has its own coin rows, the defect only
+    in the one of even sites; and an observed site reads exactly 0 at steps of
+    the other parity.
     The state is the left operand, as ``psi`` is in ``BandedUnitary.step``:
     numpy's fused multiply-add rounds ``x * c`` and ``c * x`` apart, and only
     this order equals the band bit for bit, up to the sign of an exact zero
@@ -398,48 +409,61 @@ def _walk(
     seen_lo, seen_hi = min(observe)[0], max(observe)[0]
     if half and min(first, seen_lo) < 0:
         raise ValueError("half-line sites are nonnegative")
-    floor = 0 if half else -math.inf
-    # buffer row r holds site r + base, with a spare row past each cone edge;
-    # on the half line a cone that reaches the wall puts site -1 in row 0,
-    # which receives the output to be reflected
-    base = max(min(first - steps, seen_lo), floor) - 1
-    rows = max(last + steps, seen_hi) + 2 - base
+    if not half and len({site % 2 for site, _ in start}) > 1:
+        raise ValueError("line start sites must share one parity")
+    # consecutive rows lie k sites apart; up outputs of buffer b move by up[b]
+    # rows, down outputs by up[b] - gap; every window keeps a spare row past
+    # each cone edge, and on the half line a cone that reaches the wall puts
+    # site -1 in row 0, which receives the output to be reflected
+    k, up, gap = (1, (1, 1), 2) if half else (2, (0, 1), 1)
+    floor = max(first - steps, 0) if half else first - steps  # the cone's lowest site
+    base = min(floor, seen_lo) - k
+    base -= (base - first) % k
+    rows = (max(last + steps, seen_hi) - base) // k + 2
     bufs = np.zeros((2, rows, 2), dtype=complex)
     prod = np.empty((2, rows, 2), dtype=complex)
     coin = np.repeat(spec.coin.matrix[:, None, :], rows, axis=1)
-    z = -base  # row of site 0
+    coins = (coin, coin) if half else (coin, coin.copy())
+    zb = base % k  # the buffer that holds site 0, in row z
+    z = -(base + zb) // k
     if 0 <= z < rows:
-        coin[:, z] = spec.defect.matrix
+        coins[zb][:, z] = spec.defect.matrix
     for (site, is_up), amp in start.items():
-        bufs[0, site - base, 0 if is_up else 1] = amp
-    row, spin = np.array([(site - base, 0 if is_up else 1) for site, is_up in observe]).T
+        bufs[0, (site - base) // k, 0 if is_up else 1] = amp
+    row, spin, par = np.array(
+        [((site - base) // k, 0 if is_up else 1, (site - base) % k) for site, is_up in observe]
+    ).T
     top, bottom = row.min(), row.max() + 1
     box = np.empty((steps + 1, bottom - top, 2), dtype=complex)
     box[0] = bufs[0, top:bottom]
-    # the window [lo, hi) of every step, then its union over each block
+    # the sites [lo, hi) past base of every step's window, then their union
+    # over each block in rows of either buffer
     n = np.arange(steps)
     lows = np.maximum(np.maximum(first - n, seen_lo - steps + n), floor) - base
     highs = np.minimum(last + n, seen_hi + steps - n) + 1 - base
     firsts = range(0, steps, _BLOCK)
-    lows = np.minimum.reduceat(lows, firsts).astype(int)
-    highs = np.maximum(np.maximum.reduceat(highs, firsts), lows)
+    lows = np.minimum.reduceat(lows, firsts) // k
+    highs = np.maximum(-(np.maximum.reduceat(highs, firsts) // -k), lows)
     row_stride, spin_stride = bufs.strides[1:]
-    strides = (spin_stride - 2 * row_stride, row_stride)
+    strides = (spin_stride - gap * row_stride, row_stride)
     for n0, lo, hi in zip(firsts, lows.tolist(), highs.tolist()):
         views = []
-        for s, s_next in (bufs, bufs[::-1]):
-            shifted = as_strided(s_next[lo + 1 :], (2, hi - lo), strides)
+        for b, (s, s_next) in enumerate((bufs, bufs[::-1])):
+            shifted = as_strided(s_next[lo + up[b] :], (2, hi - lo), strides)
             wall = (s_next[z, :1], s_next[z - 1, 1:]) if half and lo == z else None
-            views.append((s[None, lo:hi], shifted, wall, s_next[top:bottom]))
-        c, p, p0, p1 = coin[:, lo:hi], prod[:, lo:hi], prod[:, lo:hi, 0], prod[:, lo:hi, 1]
+            views.append((s[None, lo:hi], coins[b][:, lo:hi], shifted, wall, s_next[top:bottom]))
+        p, p0, p1 = prod[:, lo:hi], prod[:, lo:hi, 0], prod[:, lo:hi, 1]
         for n in range(n0, min(n0 + _BLOCK, steps)):
-            x, shifted, wall, seen = views[n & 1]
+            x, c, shifted, wall, seen = views[n & 1]
             np.multiply(x, c, out=p)
             np.add(p0, p1, out=shifted)
             if wall:  # lo >= 1, so z - 1 is a row
                 np.copyto(*wall)
             box[n + 1] = seen
-    return np.ascontiguousarray(box[:, row - top, spin])
+    amps = np.ascontiguousarray(box[:, row - top, spin])
+    if not half:
+        amps[np.arange(steps + 1)[:, None] % 2 != par] = 0
+    return amps
 
 
 def _require_walk(lattice: Lattice, steps: int, site: int, dimension: int | None):
@@ -517,11 +541,6 @@ def moments_at_origin(
     _require_walk(spec.lattice, steps, 0, dimension)
     if spec.lattice is Lattice.HALF_LINE:
         return _walk(spec, {(0, True): 1.0}, [(0, True)], steps)[:, 0]
-    # one walk from |0 up> + |-1 dn> (basis states 0 and 1 of the folded line): a step
-    # moves every amplitude by one site, so start i reaches observed k iff i + k + n is even
+    # one walk from each of |0 up> and |-1 dn> (basis states 0 and 1 of the folded line)
     block = [(0, True), (-1, False)]
-    amps = _walk(spec, dict.fromkeys(block, 1.0), block, steps)
-    moments = np.zeros((steps + 1, 2, 2), dtype=complex)
-    n, k = np.ogrid[: steps + 1, :2]
-    moments[n, (n + k) % 2, k] = amps
-    return moments
+    return np.stack([_walk(spec, {at: 1.0}, block, steps) for at in block], axis=1)
