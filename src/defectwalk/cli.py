@@ -172,8 +172,8 @@ def _cmd_simulate(args) -> int:
             f"--dimension: below the required {min_dimension(args.steps, args.site)}"
         )
     series = return_probability_series(spec, args.site, q, args.steps, dim)
-    rows = "\n".join(["%d,%.12g" % t for t in enumerate(series.tolist())])
-    _emit(args, "n,p\n" + rows + "\n")
+    lines = ["n,p"] + [f"{n},{_fmt(p)}" for n, p in enumerate(series.tolist())]
+    _emit(args, "\n".join(lines) + "\n")
     return 0
 
 

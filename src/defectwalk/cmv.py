@@ -40,12 +40,11 @@ then shift", which is the two-factor block structure behind the CMV
 factorization, and touch only the sites inside the light cone of the start
 sites that can still reach an observed site (one window per block of steps).
 A step is one multiply, one add and one slice copy.  On the line a step moves
-every amplitude by one site, so a walk keeps only the sublattice its start
-occupies at each step's parity, and the line's moment block takes one walk per
-basis state.  The band and the walk both put the state left of the coin in
-every product (numpy's fused complex multiply rounds ``x * c`` and ``c * x``
-apart) and add the same two products, so they agree bit for bit, up to the
-sign of an exact zero.
+every amplitude by one site, so a walk from sites of one parity keeps only
+the sublattice it occupies at each step's parity.  The band and the walk both
+put the state left of the coin in every product (numpy's fused complex
+multiply rounds ``x * c`` and ``c * x`` apart) and add the same two products,
+so they agree bit for bit, up to the sign of an exact zero.
 
 Truncation: amplitudes are exact for the infinite system as long as the
 ballistic cone (one site per step) stays inside the matrix.  The enforced
@@ -392,12 +391,13 @@ def _walk(
     r + base in both buffers (the wall puts site 0's output back on site 0), up
     outputs of row r land in r + 1 and down outputs in r - 1.  On the line a
     step moves every amplitude by one site, so a start whose sites share one
-    parity (any other raises ValueError) occupies one sublattice per step:
-    buffer b = n & 1 holds only the sites of parity base + b, with base of the
-    start's parity, in row r site 2r + b + base; up outputs move by b rows and
-    down outputs by b - 1; each buffer has its own coin rows, the defect only
-    in the one of even sites; and an observed site reads exactly 0 at steps of
-    the other parity.
+    parity occupies one sublattice per step: buffer b = n & 1 holds only the
+    sites of parity base + b, with base of the start's parity, in row r site
+    2r + b + base; up outputs move by b rows and down outputs by b - 1; each
+    buffer has its own coin rows, the defect only in the one of even sites;
+    and an observed site reads exactly 0 at steps of the other parity.  A
+    line start on both sublattices keeps a site per row, as on the half line
+    without the wall.
     The state is the left operand, as ``psi`` is in ``BandedUnitary.step``:
     numpy's fused multiply-add rounds ``x * c`` and ``c * x`` apart, and only
     this order equals the band bit for bit, up to the sign of an exact zero
@@ -409,13 +409,12 @@ def _walk(
     seen_lo, seen_hi = min(observe)[0], max(observe)[0]
     if half and min(first, seen_lo) < 0:
         raise ValueError("half-line sites are nonnegative")
-    if not half and len({site % 2 for site, _ in start}) > 1:
-        raise ValueError("line start sites must share one parity")
+    sub = not half and len({site % 2 for site, _ in start}) == 1  # one sublattice per step
     # consecutive rows lie k sites apart; up outputs of buffer b move by up[b]
     # rows, down outputs by up[b] - gap; every window keeps a spare row past
     # each cone edge, and on the half line a cone that reaches the wall puts
     # site -1 in row 0, which receives the output to be reflected
-    k, up, gap = (1, (1, 1), 2) if half else (2, (0, 1), 1)
+    k, up, gap = (2, (0, 1), 1) if sub else (1, (1, 1), 2)
     floor = max(first - steps, 0) if half else first - steps  # the cone's lowest site
     base = min(floor, seen_lo) - k
     base -= (base - first) % k
@@ -423,7 +422,7 @@ def _walk(
     bufs = np.zeros((2, rows, 2), dtype=complex)
     prod = np.empty((2, rows, 2), dtype=complex)
     coin = np.repeat(spec.coin.matrix[:, None, :], rows, axis=1)
-    coins = (coin, coin) if half else (coin, coin.copy())
+    coins = (coin, coin.copy()) if sub else (coin, coin)
     zb = base % k  # the buffer that holds site 0, in row z
     z = -(base + zb) // k
     if 0 <= z < rows:
@@ -461,7 +460,7 @@ def _walk(
                 np.copyto(*wall)
             box[n + 1] = seen
     amps = np.ascontiguousarray(box[:, row - top, spin])
-    if not half:
+    if sub:
         amps[np.arange(steps + 1)[:, None] % 2 != par] = 0
     return amps
 
@@ -541,6 +540,11 @@ def moments_at_origin(
     _require_walk(spec.lattice, steps, 0, dimension)
     if spec.lattice is Lattice.HALF_LINE:
         return _walk(spec, {(0, True): 1.0}, [(0, True)], steps)[:, 0]
-    # one walk from each of |0 up> and |-1 dn> (basis states 0 and 1 of the folded line)
+    # one walk from |0 up> + |-1 dn> (basis states 0 and 1 of the folded line): a step
+    # moves every amplitude by one site, so start i reaches observed k iff i + k + n is even
     block = [(0, True), (-1, False)]
-    return np.stack([_walk(spec, {at: 1.0}, block, steps) for at in block], axis=1)
+    amps = _walk(spec, dict.fromkeys(block, 1.0), block, steps)
+    moments = np.zeros((steps + 1, 2, 2), dtype=complex)
+    n, k = np.ogrid[: steps + 1, :2]
+    moments[n, (n + k) % 2, k] = amps
+    return moments

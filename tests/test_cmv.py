@@ -383,7 +383,7 @@ class TestKernelMatchesBand:
 
     def test_seeded_specs(self):
         # 20 specs per lattice, 1-300 steps, starts at sites 0-3; the line
-        # also runs the two walks of moments_at_origin
+        # also runs the superposed walk of moments_at_origin
         rng = np.random.default_rng(11)
         for lattice in Lattice:
             for _ in range(20):
@@ -426,8 +426,8 @@ class TestKernelMatchesBand:
             for is_up in (True, False):
                 col = 0 if is_up else 1
                 # constant coin: one start with the draws 3 sites apart from
-                # site 5 on (4 on the line, whose start sites share one
-                # parity), so the outputs at x + 1 and x - 1 never collide
+                # site 5 on (4 on the line, so that the start keeps to one
+                # sublattice), so the outputs at x + 1 and x - 1 never collide
                 gap = 3 if lattice is Lattice.HALF_LINE else 4
                 sites = range(5, 5 + gap * len(x), gap)
                 observe = [at for y in sites for at in ((y + 1, True), (y - 1, False))]
@@ -442,8 +442,8 @@ class TestKernelMatchesBand:
 
     @pytest.mark.parametrize("block", [1, 1000])
     def test_superposed_line_block(self, monkeypatch, block):
-        # the walks from |0 up> and from |-1 dn> behind the line's moment
-        # block equal the band walks from the two basis states, at both parities
+        # the one walk from |0 up> + |-1 dn> behind the line's moment block
+        # equals the band walks from the two basis states, at both parities
         monkeypatch.setattr(cmv, "_BLOCK", block)
         rng = np.random.default_rng(19)
         for i in range(20):
@@ -484,13 +484,15 @@ class TestBlockedWindows:
                     assert np.array_equal(_walk(spec, start, observe, steps), band)
 
     @pytest.mark.parametrize("block", [1, 3, 64, 1000])
-    def test_same_parity_line_start(self, rng, monkeypatch, block):
-        # two start sites of one parity on either side of the defect, observed
-        # at sites of both parities
+    @pytest.mark.parametrize("far", [6, 7])
+    def test_two_site_line_start(self, rng, monkeypatch, block, far):
+        # start sites on either side of the defect, of one parity (one
+        # sublattice per step) or of both (a site per row), observed at sites
+        # of both parities
         monkeypatch.setattr(cmv, "_BLOCK", block)
         spec, q = random_spec(rng, Lattice.LINE), random_qubit(rng)
-        start = {(-4, True): q.alpha, (-4, False): q.beta, (6, True): 1.0}
-        observe = [(site, up) for site in (-4, -1, 0, 6) for up in (True, False)]
+        start = {(-4, True): q.alpha, (-4, False): q.beta, (far, True): 1.0}
+        observe = [(site, up) for site in (-4, -1, 0, far) for up in (True, False)]
         for steps in (0, 63, 64, 65, 129):
             band = _band_amplitudes(spec, start, observe, steps)
             assert np.array_equal(_walk(spec, start, observe, steps), band)
@@ -540,16 +542,6 @@ def test_step_cap_refuses_before_allocating(rng, monkeypatch):
     # MAX_STEPS itself passes the cap: a bad site then fails before any buffer
     with pytest.raises(ValueError):
         _walk(spec, {(-1, True): 1.0}, [(0, True)], MAX_STEPS)
-
-
-def test_mixed_parity_line_start_refused_before_allocating(rng, monkeypatch):
-    # each line buffer holds one sublattice, so a start on both is refused
-    # before any buffer exists; numpy is out of reach, as above
-    monkeypatch.setattr(cmv, "np", _NoNumpy())
-    spec = random_spec(rng, Lattice.LINE)
-    for start in ({(0, True): 1.0, (-1, False): 1.0}, {(-4, True): 1.0, (7, False): 0.5}):
-        with pytest.raises(ValueError, match="one parity"):
-            _walk(spec, start, [(0, True)], 10)
 
 
 def test_negative_steps_refused_before_allocating(rng, monkeypatch):
