@@ -69,6 +69,7 @@ _T_MARGIN = 1e-9
 _ROOT_SEP = 1e-6
 _DELTA = 1e-9  # ~1000x the gap between fast and companion roots of the atom quartic
 _BLOCK = 2048  # points per block of a batched count: bounds its temporaries
+_I, _J = np.triu_indices(4, 1)  # the six pairs i < j of a quartic's four roots
 
 
 @dataclass(frozen=True)
@@ -177,8 +178,7 @@ def _arc_roots(a, b):
     if not monic_finite:
         raise BorderlineA("the atom quartic overflows when made monic: |a| is too small")
     roots = _companion_roots(coeffs)
-    i, j = np.triu_indices(4, 1)
-    if np.any(np.abs(roots[..., i] - roots[..., j]) < _ROOT_SEP):
+    if np.any(np.abs(roots[..., _I] - roots[..., _J]) < _ROOT_SEP):
         raise BorderlineA(f"two roots of the atom equation lie within {_ROOT_SEP:g}")
     inside = (a.conj()[..., None] * roots).real < (np.abs(a) ** 2)[..., None] - _T_MARGIN
     return roots, (np.abs(np.abs(roots) - 1.0) < 1e-7) & inside
@@ -238,12 +238,11 @@ def mass_point_count(a, b, grid: int | None = None):
     a, b = np.broadcast_arrays(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
     counts = np.zeros(a.shape, dtype=int)
     nonzero = np.flatnonzero(a)
-    i, j = np.triu_indices(4, 1)
     for at in np.split(nonzero, range(_BLOCK, nonzero.size, _BLOCK)):
         ab, bb = a.flat[at], b.flat[at]
         with np.errstate(all="ignore"):  # overflow makes nan, which has no margin
             roots, step = _quartic_roots(_atom_quartic(ab, bb))
-            off, gaps = np.abs(roots) - 1.0, np.abs(roots[:, i] - roots[:, j]) - _ROOT_SEP
+            off, gaps = np.abs(roots) - 1.0, np.abs(roots[:, _I] - roots[:, _J]) - _ROOT_SEP
             slack = (ab.conj()[:, None] * roots).real - (np.abs(ab) ** 2 - _T_MARGIN)[:, None]
             margin = np.concatenate((gaps, np.abs(np.abs(off) - 1e-7), np.abs(slack)), axis=-1)
             sure = (margin.min(axis=-1) > _DELTA) & (step.max(axis=-1) < _DELTA / 10)

@@ -90,15 +90,16 @@ def _arc_integrals(
 ) -> list:
     """Integrals of z^n against the weight over both support arcs, one for
     each count of nodes per arc in ``counts``, from one weight evaluation."""
-    rules = [arc_nodes(lo, hi, m) for m in counts for lo, hi in support_arcs(a)]
-    th = np.concatenate([r[0] for r in rules])
-    phase = np.concatenate([r[1] for r in rules]) * np.exp(1j * n * th) / (2.0 * math.pi)
+    arcs = support_arcs(a)
+    th, wts = map(np.concatenate, zip(*[arc_nodes(lo, hi, m) for m in counts for lo, hi in arcs]))
+    phase = wts * np.exp(1j * n * th) / (2.0 * math.pi)
     if lattice is Lattice.HALF_LINE:
         vals = weight_halfline(a, b, th, check_branch=False)
     else:
         vals = weight_line(a, b, omega, th, check_branch=False)
+    flat, cell = vals.reshape(th.size, -1), vals.shape[1:]  # np.tensordot's own np.dot operands
     ends = np.cumsum([0] + [2 * m for m in counts])
-    return [np.tensordot(phase[i:j], vals[i:j], axes=(0, 0)) for i, j in zip(ends[:-1], ends[1:])]
+    return [np.dot(phase[i:j].reshape(1, -1), flat[i:j]).reshape(cell) for i, j in zip(ends, ends[1:])]
 
 
 def moment_by_quadrature(

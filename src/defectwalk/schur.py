@@ -103,17 +103,19 @@ def schur_constant_boundary(a: complex, theta) -> complex | np.ndarray:
     """
     if a == 0:
         raise ZeroA("schur_constant requires a != 0")
-    theta = np.asarray(theta, dtype=float)
-    s, c = np.sin(theta), np.cos(theta)
-    aa = abs(a) ** 2
-    inside = s * s <= aa
-    r = np.where(
-        inside,
-        np.sign(c) * np.sqrt(np.maximum(aa - s * s, 0.0)),
-        -1j * np.sign(s) * np.sqrt(np.maximum(s * s - aa, 0.0)),
-    )
-    val = np.exp(-1j * theta) / np.conj(a) * (r + 1j * s)
-    return val if val.ndim else complex(val)
+    th = np.atleast_1d(np.asarray(theta, dtype=float))
+    s = np.sin(th)
+    val = _constant_boundary(a, th, s, np.sqrt(np.maximum(s * s - abs(a) ** 2, 0.0)))
+    return val if np.ndim(theta) else complex(val[0])
+
+
+def _constant_boundary(a: complex, th: np.ndarray, s: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """f_a at e^{i th} (th at least 1-d) from s = sin th and q = sqrt(max(s^2 - |a|^2, 0));
+    the singular arcs' root sign(cos th) sqrt(|a|^2 - s^2) is taken only where s^2 <= |a|^2."""
+    r = -1j * np.sign(s) * q
+    on = s * s <= abs(a) ** 2
+    r[on] = np.sign(np.cos(th[on])) * np.sqrt(np.maximum(abs(a) ** 2 - s[on] * s[on], 0.0))
+    return np.exp(-1j * th) / np.conj(a) * (r + 1j * s)
 
 
 def schur_defect(a: complex, b: complex, z) -> complex | np.ndarray:
@@ -123,16 +125,15 @@ def schur_defect(a: complex, b: complex, z) -> complex | np.ndarray:
     return val if val.ndim else complex(val)
 
 
-def _boundary_parts(a: complex, b: complex, theta: np.ndarray):
-    """(f_a, w, w + b, 1 + conj(b) w) at z = e^{i theta}, with w = z^2 f_a;
-    the last two are the numerator and denominator of f_{a,b}."""
-    fa = schur_constant_boundary(a, theta)
-    w = np.exp(2j * theta) * fa
-    return fa, w, w + b, 1.0 + np.conj(b) * w
+def _boundary_parts(b: complex, theta, fa):
+    """(w, w + b, 1 + conj(b) w) at z = e^{i theta}, with w = z^2 f_a; the
+    last two are the numerator and denominator of f_{a,b}."""
+    w = np.exp(2j * np.asarray(theta, dtype=float)) * fa
+    return w, w + b, 1.0 + np.conj(b) * w
 
 
 def schur_defect_boundary(a: complex, b: complex, theta) -> complex | np.ndarray:
-    _, _, num, den = _boundary_parts(a, b, np.asarray(theta, dtype=float))
+    _, num, den = _boundary_parts(b, theta, schur_constant_boundary(a, theta))
     val = num / den
     return val if val.ndim else complex(val)
 
@@ -157,7 +158,7 @@ def g_line(a: complex, b: complex, z) -> complex | np.ndarray:
 
 
 def g_line_boundary(a: complex, b: complex, theta) -> complex | np.ndarray:
-    _, w, num, den = _boundary_parts(a, b, np.asarray(theta, dtype=float))
+    w, num, den = _boundary_parts(b, theta, schur_constant_boundary(a, theta))
     val = w * (num / den)
     return val if val.ndim else complex(val)
 
@@ -219,10 +220,6 @@ def schur_inverse_step(f, alpha: complex):
 _BRANCH_TOL = 1e-12
 
 
-def _gamma_mask(a: complex, theta: np.ndarray) -> np.ndarray:
-    return np.sin(theta) ** 2 < abs(a) ** 2
-
-
 def _branch_mask(a: complex, theta: np.ndarray) -> np.ndarray:
     """Where theta lies within 1e-12 of a branch point, |sin theta| = |a|:
     the weight is refused there (``BranchPoint``, or ``nan`` rows in the CLI)."""
@@ -236,19 +233,22 @@ def _ac_weight(a: complex, b: complex, theta, check_branch: bool, density, cell=
     least 1-d) plus ``cell``.  Both ``1 - |f|^2`` are closed forms that stay
     accurate beside the branch points: 2q / (|sin theta| + q) with
     q = sqrt(sin^2 theta - |a|^2), and the Moebius identity
-    (1 - |b|^2)(1 - |f_a|^2) / |den|^2.
+    (1 - |b|^2)(1 - |f_a|^2) / |den|^2.  sin theta is taken once, for the
+    arc mask, f_a and both closed forms, and q once, for f_a and 1 - |f_a|^2;
+    f_a's singular-arc root is left to the nodes where sin^2 theta = |a|^2.
     """
     theta_arr = np.atleast_1d(np.asarray(theta, dtype=float))
     if check_branch and np.any(_branch_mask(a, theta_arr)):
         raise BranchPoint("theta too close to a branch point of the weight")
     out = np.zeros(theta_arr.shape + cell, dtype=complex if cell else float)
-    ac = ~_gamma_mask(a, theta_arr)
+    sin = np.sin(theta_arr)
+    ac = ~(sin**2 < abs(a) ** 2)
     if np.any(ac):
-        th = theta_arr[ac]
-        fa, w, num, den = _boundary_parts(a, b, th)
-        s = np.abs(np.sin(th))
+        th, s = theta_arr[ac], sin[ac]
         q = np.sqrt(np.maximum(s * s - abs(a) ** 2, 0.0))
-        d_a = 2.0 * q / (s + q)
+        fa = _constant_boundary(a, th, s, q)
+        w, num, den = _boundary_parts(b, th, fa)
+        d_a = 2.0 * q / (np.abs(s) + q)
         d_ab = (1.0 - abs(b) ** 2) * d_a / np.abs(den) ** 2
         out[ac] = density(np.exp(1j * th), fa, w, num, den, d_a, d_ab)
     return out
@@ -314,8 +314,10 @@ def support_arcs(a: complex) -> tuple[tuple[float, float], tuple[float, float]]:
 
 
 @lru_cache(maxsize=32)
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
+def _leggauss(n: int) -> tuple[np.ndarray, ...]:
+    x, w = np.polynomial.legendre.leggauss(n)
+    phi = 0.5 * math.pi * (x + 1.0)
+    return phi < 0.5 * math.pi, np.sin(0.5 * phi) ** 2, np.cos(0.5 * phi) ** 2, np.sin(phi), w
 
 
 def arc_nodes(lo: float, hi: float, n: int = 256) -> tuple[np.ndarray, np.ndarray]:
@@ -331,14 +333,11 @@ def arc_nodes(lo: float, hi: float, n: int = 256) -> tuple[np.ndarray, np.ndarra
     converges exponentially.  Each node is placed from its nearer endpoint
     (lo + 2 half sin^2(phi/2) or hi - 2 half cos^2(phi/2)), so the nodes
     crowding an endpoint keep their offsets from it to full relative
-    precision.  The raw Legendre rule is computed once per n, on first use.
+    precision.  The Legendre rule and its phi-only factors (the mask
+    phi < pi/2, sin^2(phi/2), cos^2(phi/2), sin(phi) and w_k) are computed
+    once per n, on first use; each arc only scales and shifts them.
     """
-    x, w = _leggauss(n)
-    phi = 0.5 * math.pi * (x + 1.0)
+    first, sin2, cos2, sin_phi, w = _leggauss(n)
     half = 0.5 * (hi - lo)
-    nodes = np.where(
-        phi < 0.5 * math.pi,
-        lo + 2.0 * half * np.sin(0.5 * phi) ** 2,
-        hi - 2.0 * half * np.cos(0.5 * phi) ** 2,
-    )
-    return nodes, (0.5 * math.pi * half) * np.sin(phi) * w
+    nodes = np.where(first, lo + 2.0 * half * sin2, hi - 2.0 * half * cos2)
+    return nodes, (0.5 * math.pi * half) * sin_phi * w

@@ -1,7 +1,10 @@
-"""Shared test utilities: random draws, an independent reference evolver and
-the band loop the site-ordered kernel must match bit for bit."""
+"""Shared test utilities: random draws, an independent reference evolver, the
+band loop the site-ordered kernel must match bit for bit, and the per-call
+quadrature arithmetic the shared-factor rule and weights must match bit for bit."""
 
+import math
 from collections import defaultdict
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,3 +60,71 @@ def band_states(spec: WalkSpec, psi0: np.ndarray, steps: int, dim: int) -> list:
     for _ in range(steps):
         states.append(u.step(states[-1]))
     return states
+
+
+@lru_cache(maxsize=None)
+def _legendre(n: int):
+    return np.polynomial.legendre.leggauss(n)  # O(n^3): 2000 nodes take seconds
+
+
+def reference_arc_nodes(lo: float, hi: float, n: int):
+    """schur.arc_nodes with every phi factor recomputed on each call, in the
+    order of its products: the memoised factors must give the same bits."""
+    x, w = _legendre(n)
+    phi = 0.5 * math.pi * (x + 1.0)
+    half = 0.5 * (hi - lo)
+    nodes = np.where(
+        phi < 0.5 * math.pi,
+        lo + 2.0 * half * np.sin(0.5 * phi) ** 2,
+        hi - 2.0 * half * np.cos(0.5 * phi) ** 2,
+    )
+    return nodes, (0.5 * math.pi * half) * np.sin(phi) * w
+
+
+def _reference_parts(a: complex, b: complex, theta: np.ndarray):
+    """(mask of the support arcs, z, f_a, w, num, den, 1 - |f_a|^2, 1 - |f_{a,b}|^2)
+    with sin theta taken anew for each use and f_a by its two-branch formula."""
+    ac = ~(np.sin(theta) ** 2 < abs(a) ** 2)
+    th = theta[ac]
+    s, c = np.sin(th), np.cos(th)
+    aa = abs(a) ** 2
+    r = np.where(
+        s * s <= aa,
+        np.sign(c) * np.sqrt(np.maximum(aa - s * s, 0.0)),
+        -1j * np.sign(s) * np.sqrt(np.maximum(s * s - aa, 0.0)),
+    )
+    fa = np.exp(-1j * th) / np.conj(a) * (r + 1j * s)
+    w = np.exp(2j * th) * fa
+    num, den = w + b, 1.0 + np.conj(b) * w
+    s = np.abs(np.sin(th))
+    q = np.sqrt(np.maximum(s * s - abs(a) ** 2, 0.0))
+    d_a = 2.0 * q / (s + q)
+    d_ab = (1.0 - abs(b) ** 2) * d_a / np.abs(den) ** 2
+    return ac, np.exp(1j * th), fa, w, num, den, d_a, d_ab
+
+
+def reference_weight_halfline(a: complex, b: complex, theta: np.ndarray) -> np.ndarray:
+    """schur.weight_halfline(..., check_branch=False) on a 1-d theta, from
+    :func:`_reference_parts`."""
+    ac, z, fa, w, num, den, d_a, d_ab = _reference_parts(a, b, theta)
+    out = np.zeros(theta.shape)
+    out[ac] = d_ab / np.abs(1.0 - z * num / den) ** 2
+    return out
+
+
+def reference_weight_line(a: complex, b: complex, omega: complex, theta: np.ndarray) -> np.ndarray:
+    """schur.weight_line(..., check_branch=False) on a 1-d theta, from
+    :func:`_reference_parts`."""
+    ac, z, fa, w, num, den, d_a, d_ab = _reference_parts(a, b, theta)
+    fab = num / den
+    u = z * omega * fa
+    v = z * np.conj(omega) * fab
+    scale = 1.0 / np.abs(1.0 - w * fab) ** 2
+    cell = np.zeros(z.shape + (2, 2), dtype=complex)
+    cell[..., 0, 0] = (d_ab + d_a * np.abs(v) ** 2) * scale
+    cell[..., 1, 1] = (d_ab * np.abs(u) ** 2 + d_a) * scale
+    cell[..., 0, 1] = (d_ab * u + d_a * np.conj(v)) * scale
+    cell[..., 1, 0] = np.conj(cell[..., 0, 1])
+    out = np.zeros(theta.shape + (2, 2), dtype=complex)
+    out[ac] = cell
+    return out

@@ -6,19 +6,26 @@ benchmark."""
 import importlib
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
+import pytest
 from helpers import random_qubit, random_spec
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
-def test_every_trace_target_resolves(monkeypatch):
+@pytest.fixture
+def tracing(monkeypatch):
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look it up
-    spec.loader.exec_module(tracing)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_trace_target_resolves(tracing):
     for owner_name, attr in tracing.TARGETS:
         module, _, cls = owner_name.partition(".")
         owner = importlib.import_module(f"defectwalk.{module}")
@@ -27,6 +34,35 @@ def test_every_trace_target_resolves(monkeypatch):
         # the tracer looks targets up with vars(), so inherited or
         # re-exported names do not count
         assert callable(vars(owner).get(attr)), f"{owner_name}.{attr}"
+
+
+@pytest.mark.parametrize("lattice", ["line", "halfline"])
+def test_spans_of_one_moment_prediction(tracing, lattice):
+    # the traced round attributes the quadrature's time by these spans: a
+    # refactor that inlines a traced target would move its time to another
+    # layer unseen, so the spans recorded per call are pinned here
+    import defectwalk
+    from defectwalk import oracles
+    from defectwalk.coins import Lattice, WalkSpec, hadamard, konno_defect, spec_for_halfline_params
+
+    if lattice == "line":
+        spec, atoms = WalkSpec(Lattice.LINE, hadamard(), konno_defect(np.pi)), "line.classify"
+        weight = "schur.weight_line"
+    else:
+        spec, atoms = spec_for_halfline_params(0.5 + 0.5j, 0.5 + 0.5j), "halfline.mass_points"
+        weight = "schur.weight_halfline"
+    tracer = tracing.Tracer()
+    with tracing.patched(tracer, defectwalk), tracer.task():
+        oracles.walk_moment_prediction(spec, 8)
+    assert Counter(s.name for s in tracer.spans) == {
+        tracing.TASK: 1,
+        "oracles.walk_moment_prediction": 1,
+        "oracles.moment_by_quadrature": 1,
+        "schur.support_arcs": 1,
+        "schur.arc_nodes": 4,
+        weight: 1,
+        atoms: 1,
+    }
 
 
 def test_reference_count_signature():

@@ -2,8 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from helpers import random_qubit, random_spec
+from helpers import (
+    random_disk,
+    random_qubit,
+    random_spec,
+    reference_arc_nodes,
+    reference_weight_halfline,
+    reference_weight_line,
+)
 
+from defectwalk import halfline, line
 from defectwalk.cmv import moments_at_origin, return_probability_series
 from defectwalk.coins import (
     Lattice,
@@ -22,6 +30,7 @@ from defectwalk.oracles import (
     wiener_average,
     wiener_prediction,
 )
+from defectwalk.schur import support_arcs
 
 
 class TestWienerAverage:
@@ -64,6 +73,33 @@ class TestWienerAverage:
             assert np.abs(moments).max() <= 1.0 + 1e-12
 
 
+def _reference_integrals(a, b, omega, n, lattice, counts):
+    """The arc integrals with one support_arcs call per count, the per-call
+    rule and weights of ``helpers``, and np.tensordot."""
+    rules = [reference_arc_nodes(lo, hi, m) for m in counts for lo, hi in support_arcs(a)]
+    th = np.concatenate([r[0] for r in rules])
+    phase = np.concatenate([r[1] for r in rules]) * np.exp(1j * n * th) / (2.0 * math.pi)
+    if lattice is Lattice.HALF_LINE:
+        vals = reference_weight_halfline(a, b, th)
+    else:
+        vals = reference_weight_line(a, b, omega, th)
+    ends = np.cumsum([0] + [2 * m for m in counts])
+    return [np.tensordot(phase[i:j], vals[i:j], axes=(0, 0)) for i, j in zip(ends[:-1], ends[1:])]
+
+
+def _reference_moment(a, b, omega, n, lattice):
+    """moment_by_quadrature on the reference integrals, same gap rule and atoms."""
+    flip, n = n < 0, abs(n)
+    fine, coarse = _reference_integrals(a, b, omega, n, lattice, (256, 128))
+    if np.abs(fine - coarse).max() > 1e-6:
+        (fine,) = _reference_integrals(a, b, omega, n, lattice, (512,))
+    if lattice is Lattice.HALF_LINE:
+        result = complex(fine) + sum(pt.z0**n * pt.mu for pt in halfline.mass_points(a, b))
+        return result.conjugate() if flip else result
+    result = fine + sum(pt.z0**n * pt.matrix() for pt in line.classify(a, b, omega).points)
+    return result.conj().T if flip else result
+
+
 class TestMomentByQuadrature:
     def test_normalization(self):
         scalar = moment_by_quadrature(0.4 + 0.2j, 0.1j, 1.0, 0, Lattice.HALF_LINE)
@@ -102,6 +138,19 @@ class TestMomentByQuadrature:
         raw = moment_by_quadrature(1j / math.sqrt(2), 1j / math.sqrt(2), 1.0, 2, Lattice.HALF_LINE)
         assert abs(walk_moment_prediction(spec, 2) - sim[2]) <= 1e-6
         assert abs(raw - sim[2]) > 1e-3
+
+    @pytest.mark.parametrize("lattice", list(Lattice))
+    def test_matches_per_call_arithmetic(self, lattice, rng):
+        # one support_arcs call, memoised rule factors, shared sin theta and
+        # np.dot for np.tensordot: the moments must keep the per-call bits
+        for k in range(6):
+            a, b = random_disk(rng, r_min=0.1), random_disk(rng)
+            omega = np.exp(2j * np.pi * rng.uniform())
+            if k == 0:  # resonant: the doubled rule decides
+                a, b = -0.607939099758121 + 0.5748288093358456j, 0.2170820501987142 - 0.8597173006928841j
+            for n in (-3, 0, 1, 20):
+                ref = _reference_moment(a, b, omega, n, lattice)
+                assert np.array_equal(moment_by_quadrature(a, b, omega, n, lattice), ref)
 
     def test_nonconvergence_detected_with_few_nodes(self):
         # boundary-root weight (inverse-square-root endpoints) on 4 nodes per

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import reference_arc_nodes, reference_weight_halfline, reference_weight_line
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -229,6 +230,30 @@ class TestWeights:
                     assert h == schur.weight_halfline(a, b, float(t))
                     assert np.array_equal(w, schur.weight_line(a, b, omega, float(t)))
 
+    def test_shared_factors_match_per_use_arithmetic(self, rng):
+        # sin theta and q are computed once per call; the weights must keep the
+        # bits of the arithmetic that took them anew for every use.  The grids
+        # cross the singular arcs, crowd the support arcs' ends within a few
+        # ulps, and (with a real a = sin theta_0) hold nodes where
+        # sin^2 theta = |a|^2 exactly, the only support nodes where f_a takes
+        # its singular-arc root.
+        for k in range(12):
+            a = rng.uniform(0.05, 0.95) * np.exp(2j * np.pi * rng.uniform())
+            if k % 3 == 0:
+                a = complex(math.sin(rng.uniform(0.05, 1.5)))
+            b = rng.uniform(0.0, 0.95) * np.exp(2j * np.pi * rng.uniform())
+            omega = np.exp(2j * np.pi * rng.uniform())
+            ends = np.ravel(schur.support_arcs(a))
+            near = ends[:, None] + np.arange(-6, 7) * np.spacing(ends)[:, None]
+            thetas = np.concatenate([rng.uniform(-7.0, 7.0, 200), near.ravel(), [math.asin(abs(a))]])
+            if k % 3 == 0:
+                assert np.any(np.sin(thetas) ** 2 == abs(a) ** 2)
+            half = schur.weight_halfline(a, b, thetas, check_branch=False)
+            line = schur.weight_line(a, b, omega, thetas, check_branch=False)
+            assert np.array_equal(half, reference_weight_halfline(a, b, thetas))
+            assert np.array_equal(line, reference_weight_line(a, b, omega, thetas))
+            assert (half == 0.0).any() and (half > 0.0).any()
+
     def test_positive_semidefinite(self, rng):
         for _ in range(20):
             a = rng.uniform(0.1, 0.9) * np.exp(2j * np.pi * rng.uniform())
@@ -289,6 +314,19 @@ def test_arc_nodes_integrate_endpoint_singularities(length):
     th, w = schur.arc_nodes(-length, 0.0)
     assert abs(np.sum(w * (th + length) ** 0.5 * (-th) ** -0.5) - exact) <= 1e-13
     assert abs(np.sum(w) - length) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 4, 128, 256, 512, 2000])
+def test_arc_nodes_match_per_call_rule(n, rng):
+    # the phi factors are memoised per n; each arc's nodes and weights must
+    # keep the bits of the rule recomputed in full for every arc
+    arcs = [(0.0, 1.0), (-math.pi, 0.25)]
+    for _ in range(4):
+        arcs += schur.support_arcs(rng.uniform(0.05, 0.95) * np.exp(2j * np.pi * rng.uniform()))
+    for lo, hi in arcs:
+        nodes, weights = schur.arc_nodes(lo, hi, n)
+        ref_nodes, ref_weights = reference_arc_nodes(lo, hi, n)
+        assert np.array_equal(nodes, ref_nodes) and np.array_equal(weights, ref_weights)
 
 
 def test_support_arcs_cover_complement():
