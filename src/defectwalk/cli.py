@@ -22,7 +22,7 @@ import numpy as np
 from . import halfline as hl
 from . import line as ln
 from . import oracles
-from .cmv import default_dimension, min_dimension, moments_at_origin, return_probability_series
+from .cmv import min_dimension, moments_at_origin, return_probability_series
 from .coins import (
     Lattice,
     Qubit,
@@ -166,12 +166,10 @@ def _cmd_simulate(args) -> int:
         raise _fail_usage("--steps: must be >= 0")
     if lattice is Lattice.HALF_LINE and args.site < 0:
         raise _fail_usage("--site: half-line sites are nonnegative")
-    dim = default_dimension(lattice, args.steps, args.site) if args.dimension is None else args.dimension
-    if dim < min_dimension(args.steps, args.site):
-        raise _fail_usage(
-            f"--dimension: below the required {min_dimension(args.steps, args.site)}"
-        )
-    series = return_probability_series(spec, args.site, q, args.steps, dim)
+    need = min_dimension(args.steps, args.site)
+    if args.dimension is not None and args.dimension < need:
+        raise _fail_usage(f"--dimension: below the required {need}")
+    series = return_probability_series(spec, args.site, q, args.steps, args.dimension)
     lines = ["n,p"] + [f"{n},{_fmt(p)}" for n, p in enumerate(series.tolist())]
     _emit(args, "\n".join(lines) + "\n")
     return 0
@@ -232,6 +230,10 @@ def _halfline_rows(points) -> list[dict]:
     ]
 
 
+def _state_independent(a: complex) -> bool:
+    return abs(a.real) < 1e-12  # purely imaginary a: the same line limit for every qubit
+
+
 def _classify_fields(lattice, a, b, omega, qubit, hatted):
     if lattice is Lattice.HALF_LINE:
         region = hl.classify_region(a)
@@ -245,12 +247,9 @@ def _classify_fields(lattice, a, b, omega, qubit, hatted):
             "nonlocalized_qubit": None if nq is None else _qubit_row(nq),
         }
     cls = ln.classify(a, b, omega)
-    state_independent = abs(a.real) < 1e-12
-    p_limit: dict = {"state_independent": state_independent}
-    if state_independent:
-        p_limit["value"] = ln.imaginary_a_limit(a, b) if cls.label != "M0" else 0.0
-    else:
-        p_limit["value"] = ln.return_probability_limit(a, b, omega, hatted)
+    p_limit = {"state_independent": _state_independent(a)}
+    p_limit["value"] = ln.return_probability_limit(a, b, omega, hatted)
+    if not p_limit["state_independent"]:
         p_limit["qubit"] = _qubit_row(qubit)
     nlq = None
     if cls.label in ("M2plus", "M2minus"):
@@ -275,7 +274,7 @@ def _return_prob_fields(lattice, a, b, omega, qubit, hatted):
             "p_limit": ln.return_probability_limit(a, b, omega, hatted),
             "label": ln.classify(a, b).label,
             "qubit": _qubit_row(qubit),
-            "state_independent": abs(a.real) < 1e-12,
+            "state_independent": _state_independent(a),
         }
     asym = hl.return_asymptotics(a, b, hatted)
     return {
@@ -314,9 +313,10 @@ def _cmd_region(args) -> int:
     has_b = args.b is not None
     if has_a == has_b:
         raise _fail_usage("region: give exactly one of --a (scan b-plane) or --b (scan a-plane)")
-    fixed = _parse_complex("--a" if has_a else "--b", args.a if has_a else args.b)
+    flag = "--a" if has_a else "--b"
+    fixed = _parse_complex(flag, args.a if has_a else args.b)
     if abs(fixed) >= 1:
-        raise _fail_usage("fixed parameter must lie in the open unit disk")
+        raise _fail_usage(f"{flag}: must lie in the open unit disk")
     if has_a and fixed == 0:
         raise _fail_usage("--a: must be nonzero")
     coords = _grid_coords(grid)
@@ -440,6 +440,8 @@ def _verify_rows_brute(rng):
 
 
 def _cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise _fail_usage("--seed: must be >= 0")
     rng = np.random.default_rng(args.seed)
     rows = {
         "wiener": _verify_rows_wiener,

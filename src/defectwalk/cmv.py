@@ -465,17 +465,16 @@ def _walk(
     return amps
 
 
-def _require_walk(lattice: Lattice, steps: int, site: int, dimension: int | None):
-    """Refuse a walk before any buffer exists: TruncationTooSmall if
+def _require_walk(steps: int, site: int, dimension: int | None):
+    """Refuse a walk before any buffer exists: TruncationTooSmall if a given
     ``dimension`` is below ``min_dimension``, then TooLarge for more than
     ``MAX_STEPS`` steps and ValueError for negative ``steps``.
 
-    The kernel needs no truncation, but a requested one is still validated.
+    The kernel needs no truncation; an absent ``dimension`` is not checked.
     """
-    dim = default_dimension(lattice, steps, site) if dimension is None else dimension
     need = min_dimension(steps, site)
-    if dim < need:
-        raise TruncationTooSmall(f"dimension {dim} < required {need}")
+    if dimension is not None and dimension < need:
+        raise TruncationTooSmall(f"dimension {dimension} < required {need}")
     if steps > MAX_STEPS:
         raise TooLarge(f"walks are capped at {MAX_STEPS} steps, got {steps}")
     if steps < 0:
@@ -487,7 +486,7 @@ def _qubit_amplitudes(
 ) -> np.ndarray:
     """Amplitudes ``(up, dn)`` at ``site`` after 0..steps steps from the qubit
     ``q`` placed there, as a ``(steps + 1, 2)`` array."""
-    _require_walk(spec.lattice, steps, site, dimension)
+    _require_walk(steps, site, dimension)
     start = {(site, True): q.alpha, (site, False): q.beta}
     return _walk(spec, start, list(start), steps)
 
@@ -501,7 +500,7 @@ def amplitude(
     if i < 0 or j < 0:
         raise ValueError(f"basis indices are nonnegative, got ({i}, {j})")
     start, end = site_of_index(spec.lattice, i), site_of_index(spec.lattice, j)
-    _require_walk(spec.lattice, steps, abs(start[0]), dimension)
+    _require_walk(steps, abs(start[0]), dimension)
     if abs(end[0] - start[0]) > steps:
         return 0j
     return complex(_walk(spec, {start: 1.0}, [end], steps)[-1, 0])
@@ -537,7 +536,7 @@ def moments_at_origin(
     spec: WalkSpec, steps: int, dimension: int | None = None
 ) -> np.ndarray:
     """The (0,0) entry (half line) or 2x2 block (line) of U^n, n = 0..steps."""
-    _require_walk(spec.lattice, steps, 0, dimension)
+    _require_walk(steps, 0, dimension)
     if spec.lattice is Lattice.HALF_LINE:
         return _walk(spec, {(0, True): 1.0}, [(0, True)], steps)[:, 0]
     # one walk from |0 up> + |-1 dn> (basis states 0 and 1 of the folded line): a step

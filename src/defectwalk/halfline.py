@@ -315,13 +315,8 @@ class ReturnAsymptotics:
 
     @property
     def limit(self) -> float | None:
-        """The plain limit: 0 with no atoms, the single-atom value with one,
-        None (no limit in general) with several."""
-        if len(self.zs) == 0:
-            return 0.0
-        if len(self.zs) == 1:
-            return self.value(0)
-        return None
+        """The plain limit: ``value(0)`` with at most one atom (0 with none), else None."""
+        return self.value(0) if len(self.zs) <= 1 else None
 
 
 def return_asymptotics(a: complex, b: complex, q: Qubit) -> ReturnAsymptotics:

@@ -143,22 +143,17 @@ def mass_point_count(a, b):
 def classify(a: complex, b: complex, omega: complex = 1.0 + 0j) -> LineClass:
     """Full mass-point classification of the line measure.
 
-    ``a = 0`` short-circuits to M0 (diagonal constant coin, Bernstein-Szego
-    measure).  The label does not depend on omega, nor on Re b.
+    The label does not depend on omega, nor on Re b; ``a = 0`` (diagonal
+    constant coin, Bernstein-Szego measure) is M0, as its arc is empty.
     """
     _check_disk(a, b)
-    if a == 0:
-        return LineClass("M0", ())
     zp, zm = zeta_pm(b)
-    plus = _on_arc(a, zp)
-    minus = _on_arc(a, zm)
+    plus, minus = _on_arc(a, zp), _on_arc(a, zm)
     points: list[MassPointLine] = []
-    if plus:
-        mp = mass_point_at(a, b, omega, zp)
-        points += [mp, mp.reflected()]
-    if minus:
-        mp = mass_point_at(a, b, omega, zm)
-        points += [mp, mp.reflected()]
+    for zeta0, on in ((zp, plus), (zm, minus)):
+        if on:
+            mp = mass_point_at(a, b, omega, zeta0)
+            points += [mp, mp.reflected()]
     if plus and minus:
         label = "M4"
     elif plus:
@@ -179,14 +174,12 @@ def return_form(a: complex, b: complex, omega: complex = 1.0 + 0j) -> np.ndarray
 
     Rank <= 2; one rank-1 term per satisfied atom condition.  The two terms
     are built on mutually orthogonal vectors, so the eigenvalues of M are
-    exactly the squared coefficients of the two atom pairs.
+    exactly the squared coefficients of the two atom pairs (M = 0 for a = 0).
     """
     m = np.zeros((2, 2), dtype=complex)
-    if a == 0:
-        return m
     rho_b = math.sqrt(1.0 - abs(b) ** 2)
-    for sign, zeta0 in zip((+1, -1), zeta_pm(b)):
-        if not condition_m(a, b, sign):
+    for zeta0 in zeta_pm(b):
+        if not _on_arc(a, zeta0):
             continue
         coeff = _coefficient(a, zeta0)
         u = np.array([1.0, -omega.conjugate() * (zeta0.conjugate() + b) / rho_b])

@@ -110,12 +110,13 @@ def schur_constant_boundary(a: complex, theta) -> complex | np.ndarray:
 
 
 def _constant_boundary(a: complex, th: np.ndarray, s: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """f_a at e^{i th} (th at least 1-d) from s = sin th and q = sqrt(max(s^2 - |a|^2, 0));
-    the singular arcs' root sign(cos th) sqrt(|a|^2 - s^2) is taken only where s^2 <= |a|^2."""
+    """f_a at e^{i th} (th at least 1-d) from s = sin th and q = sqrt(max(s^2 - |a|^2, 0)),
+    as a e^{-i th} / (r - i s) with r = sign(cos th) sqrt(|a|^2 - s^2) where s^2 <= |a|^2, else
+    -i sign(s) q: this is e^{-i th} (r + i s) / conj(a), whose r + i s cancels off the arcs."""
     r = -1j * np.sign(s) * q
     on = s * s <= abs(a) ** 2
     r[on] = np.sign(np.cos(th[on])) * np.sqrt(np.maximum(abs(a) ** 2 - s[on] * s[on], 0.0))
-    return np.exp(-1j * th) / np.conj(a) * (r + 1j * s)
+    return a * np.exp(-1j * th) / (r - 1j * s)
 
 
 def schur_defect(a: complex, b: complex, z) -> complex | np.ndarray:

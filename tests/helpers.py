@@ -93,7 +93,7 @@ def _reference_parts(a: complex, b: complex, theta: np.ndarray):
         np.sign(c) * np.sqrt(np.maximum(aa - s * s, 0.0)),
         -1j * np.sign(s) * np.sqrt(np.maximum(s * s - aa, 0.0)),
     )
-    fa = np.exp(-1j * th) / np.conj(a) * (r + 1j * s)
+    fa = a * np.exp(-1j * th) / (r - 1j * s)
     w = np.exp(2j * th) * fa
     num, den = w + b, 1.0 + np.conj(b) * w
     s = np.abs(np.sin(th))

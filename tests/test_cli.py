@@ -1,8 +1,10 @@
 import csv
+import importlib.util
 import io
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,17 @@ S2 = math.sqrt(2.0)
 H_FLAG = f"{1/S2},0,{1/S2},0,{1/S2},0,{-1/S2},0"
 KONNO_PI_FLAG = f"{1/S2},0,{-1/S2},0,{-1/S2},0,{-1/S2},0"
 IDENTITY_FLAG = "1,0,0,0,0,0,1,0"
+
+
+def _load_tool(name: str):
+    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+cli_digests = _load_tool("cli_digests")
 
 
 def run_cli(tmp_path, *argv):
@@ -180,6 +193,25 @@ class TestReturnProb:
         doc = json.loads(text)
         assert doc["n_mass_points"] == 1
         assert doc["p_cesaro"] == pytest.approx(doc["p_limit"])
+
+    def test_line_limit_matches_classify_for_imaginary_a(self, capsys):
+        # both commands print v^dag M v; line.imaginary_a_limit is its check, not its value
+        rng = np.random.default_rng(25)
+        for _ in range(300):
+            a = complex(0.0, rng.uniform(-0.95, 0.95))
+            b = complex(rng.uniform(0.0, 0.95) * np.exp(2j * np.pi * rng.uniform()))
+            omega = complex(np.exp(2j * np.pi * rng.uniform()))
+            qubit = ",".join(map(repr, rng.normal(size=4).tolist()))
+            argv = [
+                "--lattice", "line", f"--a={a.real!r},{a.imag!r}", f"--b={b.real!r},{b.imag!r}",
+                f"--omega={omega.real!r},{omega.imag!r}", f"--qubit={qubit}",
+            ]
+            assert main(["classify", *argv]) == 0
+            classified = json.loads(capsys.readouterr().out)["p_limit"]
+            assert main(["return-prob", *argv]) == 0
+            returned = json.loads(capsys.readouterr().out)
+            assert classified["state_independent"] is returned["state_independent"] is True
+            assert repr(classified["value"]) == repr(returned["p_limit"])
 
 
 class TestMasses:
@@ -476,6 +508,14 @@ class TestVerify:
 
 
 class TestErrorPaths:
+    @pytest.mark.parametrize(
+        "flag, argv", cli_digests.REFUSALS, ids=[" ".join(argv[:1] + [flag]) for flag, argv in cli_digests.REFUSALS]
+    )
+    def test_flag_refusals(self, flag, argv):
+        code, out, err = cli_digests.run(main, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and flag in err
+
     def test_bad_coin_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli(
@@ -536,3 +576,10 @@ class TestErrorPaths:
             "--a", f"{a.real},{a.imag}", "--b", "0.1,0",
         ])
         assert code == 1
+
+
+def test_digest_battery_exits_cleanly():
+    # every call of the byte battery exits 0, 1 or 2 and none raises
+    for argv in cli_digests.battery():
+        code, _, _ = cli_digests.run(main, argv)
+        assert code in (0, 1, 2), (code, argv)

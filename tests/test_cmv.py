@@ -549,7 +549,8 @@ def test_negative_steps_refused_before_allocating(rng, monkeypatch):
     monkeypatch.setattr(cmv, "np", _NoNumpy())
     for lattice in Lattice:
         spec, q = random_spec(rng, lattice), random_qubit(rng)
-        for steps in (-1, -2):
+        # no default size is checked: on the line it falls below the floor from -11
+        for steps in (-1, -2, -11, -100):
             for call in (
                 lambda: return_probability_series(spec, 0, q, steps),
                 lambda: return_probability(spec, 0, q, steps),

@@ -257,10 +257,10 @@ class TestMaxReturnScan:
     BALANCED = Qubit(1.0 / math.sqrt(2.0), 1j / math.sqrt(2.0))  # omega = 1
 
     def test_m0_rows_zero(self):
-        a, b = 0.05j, 0.1j
-        assert line.classify(a, b).label == "M0"
-        assert np.array_equal(line.return_form(a, b), np.zeros((2, 2)))
-        assert line.return_probability_limit(a, b, 1.0, self.BALANCED) == 0.0
+        for a, b in ((0.05j, 0.1j), (0j, 0.1j)):  # a = 0: the diagonal constant coin
+            assert line.classify(a, b).label == "M0"
+            assert np.array_equal(line.return_form(a, b), np.zeros((2, 2)))
+            assert line.return_probability_limit(a, b, 1.0, self.BALANCED) == 0.0
 
     def test_sup_tends_to_one_anti_diagonal_limit(self):
         a, b = 0.999 * np.exp(0.5j), 0.2 + 0.1j

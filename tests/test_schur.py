@@ -105,6 +105,18 @@ class TestSchurConstant:
             fi = schur.schur_constant(a, (1 - 1e-6) * np.exp(1j * theta))
             assert abs(fb - fi) <= 1e-4
 
+    @pytest.mark.parametrize("modulus", [1e-3, 1e-6, 1e-9, 1e-12])
+    def test_boundary_accurate_for_small_a(self, modulus, rng):
+        # the equal form e^{-i theta} (r + i s) / conj(a) cancels off the arcs,
+        # by up to 1e-10 at |a| = 1e-3 and 1.0 at |a| = 1e-9; the interior
+        # formula, the reference here, cancels in turn near theta = 0 and pi
+        a = modulus * np.exp(2j * np.pi * rng.uniform())
+        theta = rng.uniform(0.0, 2 * np.pi, 1024)
+        theta = theta[np.abs(np.sin(theta)) > 0.1]
+        fb = schur.schur_constant_boundary(a, theta)
+        fi = schur.schur_constant(a, np.exp(1j * theta))
+        assert np.all(np.abs(fb - fi) <= 1e-13 * np.abs(fi))
+
 
 class TestSchurDefect:
     def test_value_at_origin(self):
